@@ -830,9 +830,13 @@ void BM_HashState_100k(benchmark::State& state) {
 }
 BENCHMARK(BM_HashState_100k);
 
+// Args: dim, k, l. 301,066 is wide_stream's trainable vector; k*l = 6
+// leaves a 4-row block plus 2 scalar rows in the projection kernel.
 void BM_LshDigest(benchmark::State& state) {
   const std::int64_t dim = state.range(0);
-  lsh::LshConfig cfg{{1.0, 4, 4}, dim, 7};
+  const int k = static_cast<int>(state.range(1));
+  const int l = static_cast<int>(state.range(2));
+  lsh::LshConfig cfg{{1.0, k, l}, dim, 7};
   lsh::PStableLsh hasher(cfg);
   Rng rng(1);
   std::vector<float> v(static_cast<std::size_t>(dim));
@@ -841,9 +845,29 @@ void BM_LshDigest(benchmark::State& state) {
     benchmark::DoNotOptimize(hasher.hash(v));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * dim *
-                          16);
+                          k * l);
 }
-BENCHMARK(BM_LshDigest)->Arg(10'000)->Arg(100'000);
+BENCHMARK(BM_LshDigest)
+    ->Args({10'000, 4, 4})
+    ->Args({100'000, 4, 4})
+    ->Args({301'066, 4, 4})
+    ->Args({301'066, 3, 2});
+
+// The one family build per RPoLv2 epoch (k=4, l=4, as calibrated on the
+// pool benchmark's workloads). Arg: dim.
+void BM_LshFamilyBuild(benchmark::State& state) {
+  const lsh::LshConfig cfg{{1.0, 4, 4}, state.range(0), 7};
+  for (auto _ : state) {
+    lsh::PStableLsh family(cfg);
+    benchmark::DoNotOptimize(&family);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0) * 16);
+}
+BENCHMARK(BM_LshFamilyBuild)
+    ->Arg(19'902)
+    ->Arg(301'066)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_AmLayerDerivation(benchmark::State& state) {
   const Address address = Address::from_seed(42);

@@ -109,7 +109,7 @@ void MiningPool::configure_epoch_verifier(EpochWorkspace& ws,
                                           Verifier& verifier) const {
   if (!ws.needs_rpol) return;
   verifier.set_beta(ws.beta);
-  if (ws.lsh_config.has_value()) verifier.set_lsh_config(*ws.lsh_config);
+  verifier.set_lsh_family(ws.lsh_family);
 }
 
 TrainState MiningPool::initial_state() const {
@@ -230,19 +230,19 @@ std::unique_ptr<EpochWorkspace> MiningPool::prepare_epoch(std::int64_t epoch) {
     ws->alpha = last_calibration_.alpha;
     ws->beta = last_calibration_.beta;
     ws->lsh_params = last_calibration_.lsh.params;
-    verifier_->set_beta(ws->beta);
     if (config_.scheme == Scheme::kRPoLv2) {
       lsh::LshConfig lsh_config;
       lsh_config.params = last_calibration_.lsh.params;
       lsh_config.dim = manager_executor_.model().num_trainable_parameters();
       lsh_config.seed = derive_seed(
           config_.seed, 0xD0000000ULL + static_cast<std::uint64_t>(epoch));
-      verifier_->set_lsh_config(lsh_config);
       ws->lsh_config = lsh_config;
+      // Release the previous epoch's family first, so only one is resident
+      // while this one is drawn.
+      verifier_->set_lsh_family(nullptr);
+      ws->lsh_family = std::make_shared<const lsh::PStableLsh>(lsh_config);
     }
-  }
-  if (config_.scheme == Scheme::kRPoLv2) {
-    ws->worker_hasher.emplace(*ws->lsh_config);
+    configure_epoch_verifier(*ws, *verifier_);
   }
   ws->trainable_mask = &manager_executor_.trainable_mask();
   ws->verify_device = top_two_devices().first;
@@ -298,7 +298,7 @@ void MiningPool::train_commit_worker(EpochWorkspace& ws, std::size_t w) {
         *workers_[w].policy, *worker_executors_[w], ctx, device,
         config_.scheme == Scheme::kRPoLv2 ? CommitmentVersion::kV2
                                           : CommitmentVersion::kV1,
-        ws.worker_hasher ? &*ws.worker_hasher : nullptr,
+        ws.lsh_family.get(),
         config_.scheme == Scheme::kRPoLv2 ? ws.trainable_mask : nullptr, scfg);
     s.attr("storage_bytes", slot.streamed.store->total_bytes());
     slot.commitment = std::move(slot.streamed.commitment);
@@ -317,7 +317,7 @@ void MiningPool::train_commit_worker(EpochWorkspace& ws, std::size_t w) {
       obs::Span s("commit", *ws.epoch_span, static_cast<int>(w), ws.epoch);
       slot.commitment =
           config_.scheme == Scheme::kRPoLv2
-              ? commit_v2(slot.trace, *ws.worker_hasher, ws.trainable_mask)
+              ? commit_v2(slot.trace, *ws.lsh_family, ws.trainable_mask)
               : commit_v1(slot.trace);
       slot.mem_merkle += slot.commitment.byte_size();
       obs::mem_add(obs::MemTag::kMerkle, slot.commitment.byte_size());

@@ -167,7 +167,7 @@ struct PoolRunReport {
 // threads, which is why the layout is strictly split into
 //
 //   * shared, read-only-after-prepare fields (initial state, calibration
-//     snapshot, LSH config/hasher), and
+//     snapshot, LSH config/family), and
 //   * one WorkerSlot per worker, touched only by phases for THAT worker —
 //     slots of distinct workers never share mutable state, so phases for
 //     different workers may run concurrently.
@@ -188,7 +188,10 @@ struct EpochWorkspace {
   double beta = 0.0;
   lsh::LshParams lsh_params;
   std::optional<lsh::LshConfig> lsh_config;
-  std::optional<lsh::PStableLsh> worker_hasher;
+  // The epoch's one LSH family (RPoLv2), built by prepare_epoch. Workers
+  // hash their commitments with it and every verifier of the epoch borrows
+  // it read-only, so it lives until the last of them lets go.
+  std::shared_ptr<const lsh::PStableLsh> lsh_family;
   const std::vector<bool>* trainable_mask = nullptr;
   sim::DeviceProfile verify_device;  // the pool's top device profile
 
@@ -286,7 +289,7 @@ class MiningPool {
   // A fresh verifier configured exactly like the pool's own (same sampling
   // seed) — one per shard, so shard threads never share verifier state.
   std::unique_ptr<Verifier> make_verifier() const;
-  // Applies the workspace's calibration snapshot (beta, LSH config) to a
+  // Applies the workspace's calibration snapshot (beta, LSH family) to a
   // verifier; run once per epoch per shard verifier before verify_worker.
   void configure_epoch_verifier(EpochWorkspace& ws, Verifier& verifier) const;
 

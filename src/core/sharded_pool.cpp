@@ -211,10 +211,12 @@ PoolRunReport ShardedPool::run() {
     report.total_retransmissions += report.epochs.back().retransmissions;
   };
   for (std::int64_t t = 0; t < epochs; ++t) {
+    // Moving the shard verifiers to prev's LSH family first frees the one
+    // before it, so at most two families (prev's and cur's) are resident.
+    if (prev) configure_verifiers(*prev);
     // Snapshots the PRE-aggregation global model when prev is still in
     // flight: the pipeline's deterministic one-epoch staleness.
     std::unique_ptr<EpochWorkspace> cur = pool_.prepare_epoch(t);
-    if (prev) configure_verifiers(*prev);
     const std::int64_t lanes = prev ? 2 * s : s;
     runtime::parallel_for(0, lanes, 1, [&](std::int64_t b, std::int64_t e) {
       for (std::int64_t i = b; i < e; ++i) {

@@ -109,18 +109,11 @@ Verifier::Verifier(const nn::ModelFactory& factory, const Hyperparams& hp,
                    VerifierConfig config)
     : hp_(hp), config_(std::move(config)), executor_(factory, hp) {}
 
-const lsh::PStableLsh& Verifier::hasher() {
-  if (!config_.lsh_config.has_value()) {
-    throw std::logic_error("RPoLv2 verification requires an LSH config");
+const lsh::PStableLsh& Verifier::hasher() const {
+  if (!lsh_family_) {
+    throw std::logic_error("RPoLv2 verification requires an LSH family");
   }
-  if (!hasher_.has_value() || hasher_seed_ != config_.lsh_config->seed ||
-      hasher_->config().params.r != config_.lsh_config->params.r ||
-      hasher_->config().params.k != config_.lsh_config->params.k ||
-      hasher_->config().params.l != config_.lsh_config->params.l) {
-    hasher_.emplace(*config_.lsh_config);
-    hasher_seed_ = config_.lsh_config->seed;
-  }
-  return *hasher_;
+  return *lsh_family_;
 }
 
 Digest compact_commitment_binding(const CompactCommitment& compact) {

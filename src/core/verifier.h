@@ -24,7 +24,7 @@
 #pragma once
 
 #include <functional>
-#include <optional>
+#include <memory>
 
 #include "core/commitment.h"
 #include "core/policy.h"
@@ -36,7 +36,6 @@ struct VerifierConfig {
   std::int64_t samples_q = 3;         // Sec. VII-A default
   double beta = 0.1;                  // distance threshold for dissimilarity
   bool use_lsh = false;               // false => RPoLv1, true => RPoLv2
-  std::optional<lsh::LshConfig> lsh_config;  // required when use_lsh
   std::uint64_t sampling_seed = 42;   // manager secret entropy
 };
 
@@ -92,7 +91,11 @@ class Verifier {
 
   const VerifierConfig& config() const { return config_; }
   void set_beta(double beta) { config_.beta = beta; }
-  void set_lsh_config(const lsh::LshConfig& cfg) { config_.lsh_config = cfg; }
+  // The epoch's LSH family (required when use_lsh). Built once by whoever
+  // owns the epoch and shared read-only: the verifier never builds one.
+  void set_lsh_family(std::shared_ptr<const lsh::PStableLsh> family) {
+    lsh_family_ = std::move(family);
+  }
 
   // Verifies one worker epoch. `trace` plays the role of the worker-side
   // proof store the manager requests samples from; only the fetched
@@ -150,10 +153,9 @@ class Verifier {
   Hyperparams hp_;
   VerifierConfig config_;
   StepExecutor executor_;
-  std::optional<lsh::PStableLsh> hasher_;  // rebuilt when lsh_config changes
-  std::uint64_t hasher_seed_ = 0;
+  std::shared_ptr<const lsh::PStableLsh> lsh_family_;
 
-  const lsh::PStableLsh& hasher();
+  const lsh::PStableLsh& hasher() const;
 };
 
 }  // namespace rpol::core

@@ -38,17 +38,26 @@ bool lsh_match(const LshDigest& a, const LshDigest& b);
 // Canonical byte encoding (for inclusion in commitments).
 Bytes serialize_lsh_digest(const LshDigest& digest);
 
+// One epoch's hash family: k*l Gaussian projection rows over `dim` weights
+// plus their offsets. Immutable after construction, so one instance is
+// shared read-only by every party that hashes under the epoch's config.
 class PStableLsh {
  public:
+  // Draws the family (the expensive part: k*l*dim normals); counts
+  // `lsh.family_build`.
   explicit PStableLsh(const LshConfig& config);
 
   const LshConfig& config() const { return config_; }
 
-  // Raw bucket values: l groups of k integers. Exposed for tests and for
-  // empirical collision-rate measurement.
+  // Raw bucket values: l groups of k integers, floor((p.x + b) / r) with
+  // INT64_MIN for a value that is NaN or outside the int64 range. Exposed
+  // for tests and for empirical collision-rate measurement. Bitwise equal
+  // on every build to the per-row loop `dot += double(p[d]) * x[d]` in
+  // increasing d (DESIGN.md §6).
   std::vector<std::vector<std::int64_t>> buckets(const std::vector<float>& x) const;
 
-  // Group digests of the bucket values.
+  // Group digests of the bucket values. const and reentrant: concurrent
+  // calls on one instance are safe.
   LshDigest hash(const std::vector<float>& x) const;
 
  private:

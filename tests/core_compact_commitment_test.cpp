@@ -25,7 +25,7 @@ struct CompactFixture : public ::testing::Test {
     lsh::LshConfig cfg{{1.0, 2, 3},
                        static_cast<std::int64_t>(trace.checkpoints[0].model.size()),
                        9};
-    hasher = std::make_unique<lsh::PStableLsh>(cfg);
+    hasher = std::make_shared<const lsh::PStableLsh>(cfg);
     full_v2 = commit_v2(trace, *hasher);
   }
 
@@ -35,7 +35,7 @@ struct CompactFixture : public ::testing::Test {
   EpochTrace trace;
   Commitment full_v1;
   Commitment full_v2;
-  std::unique_ptr<lsh::PStableLsh> hasher;
+  std::shared_ptr<const lsh::PStableLsh> hasher;
 };
 
 TEST_F(CompactFixture, AllTransitionsProveAndVerifyV1) {
@@ -126,8 +126,8 @@ struct CompactVerifierFixture : public CompactFixture {
     cfg.samples_q = 3;
     cfg.beta = 2e-3;
     cfg.use_lsh = use_lsh;
-    if (use_lsh) cfg.lsh_config = hasher->config();
     Verifier verifier(task.factory, task.hp, cfg);
+    if (use_lsh) verifier.set_lsh_family(hasher);
     sim::DeviceExecution manager_device(sim::device_g3090(), 321);
     return verifier.verify_compact(compact_commitment(full), full, tr, context,
                                    hash_state(context.initial), manager_device);

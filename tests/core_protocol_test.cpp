@@ -234,27 +234,30 @@ struct VerifierFixture : public ProtocolFixture {
     cfg.samples_q = 3;
     cfg.beta = beta_;
     cfg.use_lsh = use_lsh;
-    if (use_lsh) {
-      lsh::LshConfig lcfg;
-      lcfg.params = lsh::optimize_lsh(beta_ / 5.0, beta_, 16).params;
-      lcfg.dim = static_cast<std::int64_t>(context.initial.model.size());
-      lcfg.seed = 31;
-      cfg.lsh_config = lcfg;
-    }
     return cfg;
+  }
+
+  lsh::LshConfig lsh_config() {
+    lsh::LshConfig lcfg;
+    lcfg.params = lsh::optimize_lsh(beta_ / 5.0, beta_, 16).params;
+    lcfg.dim = static_cast<std::int64_t>(context.initial.model.size());
+    lcfg.seed = 31;
+    return lcfg;
   }
 
   VerifyResult run_verify(const EpochTrace& trace, const Commitment& commitment,
                           bool use_lsh) {
     Verifier verifier(task.factory, task.hp, base_config(use_lsh));
+    if (use_lsh) {
+      verifier.set_lsh_family(
+          std::make_shared<const lsh::PStableLsh>(lsh_config()));
+    }
     sim::DeviceExecution manager_device(sim::device_g3090(), 1234);
     return verifier.verify(commitment, trace, context,
                            hash_state(context.initial), manager_device);
   }
 
-  lsh::PStableLsh worker_hasher() {
-    return lsh::PStableLsh(*base_config(true).lsh_config);
-  }
+  lsh::PStableLsh worker_hasher() { return lsh::PStableLsh(lsh_config()); }
 
   // beta sized for this tiny task: large enough for device noise, far below
   // real update magnitudes (which are ~1e-1 here).

@@ -222,6 +222,33 @@ TEST_F(ShardedFixture, PipelinedRunIsDeterministicAndCoversEveryEpoch) {
   }
 }
 
+// Each RPoLv2 epoch draws its LSH family exactly once, in prepare_epoch;
+// workers and every (shard) verifier share that one instance, in the
+// sequential pool, the sharded pool and the pipelined schedule alike.
+TEST_F(ShardedFixture, OneLshFamilyBuildPerRpolV2Epoch) {
+  constexpr std::int64_t kEpochs = 3;
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);  // obs::count is gated on telemetry
+  auto builds_during = [](auto&& run) {
+    const std::uint64_t before = obs::counter("lsh.family_build").value();
+    run();
+    return obs::counter("lsh.family_build").value() - before;
+  };
+  EXPECT_EQ(builds_during([&] {
+              MiningPool pool(config(1, kEpochs).base, task.factory,
+                              task.dataset, split->test, workers());
+              pool.run();
+            }),
+            static_cast<std::uint64_t>(kEpochs));
+  EXPECT_EQ(builds_during([&] { make_pool(config(3, kEpochs)).run(); }),
+            static_cast<std::uint64_t>(kEpochs));
+  ShardedPoolConfig pipelined = config(3, kEpochs);
+  pipelined.pipeline = true;
+  EXPECT_EQ(builds_during([&] { make_pool(std::move(pipelined)).run(); }),
+            static_cast<std::uint64_t>(kEpochs));
+  obs::set_enabled(was_enabled);
+}
+
 // ---------------------------------------------------------------------------
 // Seeded 1k-worker soak under a mixed fault plan (ISSUE 10 satellite): the
 // sharded manager must drive a mining-pool-scale worker set to completion

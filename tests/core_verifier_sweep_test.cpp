@@ -41,6 +41,7 @@ class VerifierSweep : public ::testing::TestWithParam<SweepCase> {
     cfg.beta = beta_for(GetParam().optimizer);
     cfg.use_lsh = GetParam().scheme == Scheme::kRPoLv2;
     lsh::LshConfig lcfg;
+    std::shared_ptr<const lsh::PStableLsh> family;
     if (cfg.use_lsh) {
       lcfg.params = lsh::optimize_lsh(cfg.beta / 5.0, cfg.beta, 16).params;
       StepExecutor probe(task.factory, task.hp);
@@ -48,15 +49,15 @@ class VerifierSweep : public ::testing::TestWithParam<SweepCase> {
           extract_trainable(context.initial.model, probe.trainable_mask())
               .size());
       lcfg.seed = 71;
-      cfg.lsh_config = lcfg;
+      family = std::make_shared<const lsh::PStableLsh>(lcfg);
     }
     Verifier verifier(task.factory, task.hp, cfg);
+    verifier.set_lsh_family(family);
     sim::DeviceExecution manager_device(sim::device_g3090(), 888);
     Commitment commitment;
     if (cfg.use_lsh) {
-      const lsh::PStableLsh hasher(*cfg.lsh_config);
       StepExecutor probe(task.factory, task.hp);
-      commitment = commit_v2(trace, hasher, &probe.trainable_mask());
+      commitment = commit_v2(trace, *family, &probe.trainable_mask());
     } else {
       commitment = commit_v1(trace);
     }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "lsh/pstable.h"
 #include "lsh/tuning.h"
@@ -284,6 +285,100 @@ TEST(PStableLsh, MatchRequiresSameGroupCount) {
   PStableLsh a(a_cfg), b(b_cfg);
   const auto v = random_vec(16, 4);
   EXPECT_FALSE(lsh_match(a.hash(v), b.hash(v)));
+}
+
+// ---------------------------------------------------------------------------
+// The projection kernel against the scalar reference loop
+
+// The family as the constructor draws it, hashed by the scalar loop the
+// vector kernel replaced: each row summed in increasing d. Inputs must keep
+// every bucket inside the int64 range.
+std::vector<std::vector<std::int64_t>> reference_buckets(
+    const LshConfig& cfg, const std::vector<float>& x) {
+  const int k = cfg.params.k, l = cfg.params.l;
+  const std::int64_t rows = static_cast<std::int64_t>(k) * l;
+  Rng rng(derive_seed(cfg.seed, /*stream=*/0x15A));
+  std::vector<float> projections(static_cast<std::size_t>(rows * cfg.dim));
+  rng.fill_normal(projections, 0.0F, 1.0F);
+  std::vector<double> offsets(static_cast<std::size_t>(rows));
+  for (auto& b : offsets) b = rng.next_double() * cfg.params.r;
+
+  std::vector<std::vector<std::int64_t>> out(static_cast<std::size_t>(l));
+  for (int g = 0; g < l; ++g) {
+    auto& group = out[static_cast<std::size_t>(g)];
+    group.resize(static_cast<std::size_t>(k));
+    for (int f = 0; f < k; ++f) {
+      const std::int64_t row = static_cast<std::int64_t>(g) * k + f;
+      const float* proj =
+          projections.data() + static_cast<std::size_t>(row * cfg.dim);
+      double dot = 0.0;
+      for (std::int64_t d = 0; d < cfg.dim; ++d) {
+        dot += static_cast<double>(proj[d]) * x[static_cast<std::size_t>(d)];
+      }
+      const double v = std::floor(
+          (dot + offsets[static_cast<std::size_t>(row)]) / cfg.params.r);
+      EXPECT_LT(std::fabs(v), 0x1p62) << "reference bucket out of range";
+      group[static_cast<std::size_t>(f)] = static_cast<std::int64_t>(v);
+    }
+  }
+  return out;
+}
+
+TEST(PStableLsh, KernelBitwiseEqualToScalarLoop) {
+  // r = 2^-55 turns every bucket into dot * 2^55 (exact: a power-of-two
+  // division of a value the tiny offset cannot move), so for |dot| >= 1/8
+  // buckets agree only if the dot products agree to the last bit. The
+  // k*l sweep covers 16-row blocks, 4/8/12-row tails and scalar rows; the
+  // dim sweep covers every d % 4 tail.
+  for (const int kl : {1, 2, 3, 4, 5, 6, 15, 16, 17, 32, 33}) {
+    const int l = kl % 2 == 0 ? 2 : 1;
+    for (const std::int64_t dim : {1, 2, 3, 4, 5, 97, 1031}) {
+      const LshConfig cfg{{0x1p-55, kl / l, l}, dim,
+                          static_cast<std::uint64_t>(kl * 7919 + dim)};
+      std::vector<float> x = random_vec(dim, static_cast<std::uint64_t>(dim));
+      for (float& v : x) v *= 0.5F;  // keeps |dot| * 2^55 far below 2^63
+      EXPECT_EQ(PStableLsh(cfg).buckets(x), reference_buckets(cfg, x))
+          << "k*l=" << kl << " dim=" << dim;
+    }
+  }
+}
+
+TEST(PStableLsh, GoldenBucketsAtWideShape) {
+  // k=4, l=4 is what calibration picks on every benchmark workload; the
+  // values were produced by the scalar loop before the vector kernel.
+  const LshConfig cfg{{1.0 / 64.0, 4, 4}, 1031, 2023};
+  const std::vector<std::vector<std::int64_t>> golden = {
+      {156, 1984, 1300, -91},
+      {2653, 273, -1199, -3055},
+      {-1178, 1786, -2335, -192},
+      {2903, 948, -3809, -417}};
+  EXPECT_EQ(PStableLsh(cfg).buckets(random_vec(1031, 77)), golden);
+}
+
+TEST(PStableLsh, NonFiniteAndHugeProjectionsPinToInt64Min) {
+  // A checkpoint with inf weights re-executes to a NaN model, which the
+  // manager then hashes: every such bucket is INT64_MIN, never UB.
+  const LshConfig cfg{{1.0, 4, 4}, 97, 5};
+  const PStableLsh lsh(cfg);
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const std::vector<std::vector<std::int64_t>> all_min(
+      4, std::vector<std::int64_t>(4, kMin));
+  const std::vector<float> base = random_vec(97, 3);
+
+  std::vector<float> nan_x = base;
+  nan_x[40] = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> inf_x = base;
+  inf_x[0] = std::numeric_limits<float>::infinity();
+  std::vector<float> ninf_x = base;
+  ninf_x[96] = -std::numeric_limits<float>::infinity();
+  std::vector<float> huge_x(97, 1e38F), nhuge_x(97, -1e38F), mixed_x = base;
+  for (float& v : mixed_x) v = v < 0.0F ? -1e38F : 1e38F;
+  for (const auto* x : {&nan_x, &inf_x, &ninf_x, &huge_x, &nhuge_x, &mixed_x}) {
+    EXPECT_EQ(lsh.buckets(*x), all_min);
+    EXPECT_EQ(lsh.hash(*x), lsh.hash(*x));
+  }
+  // A finite input still hashes to ordinary buckets.
+  EXPECT_NE(lsh.buckets(base), all_min);
 }
 
 }  // namespace

@@ -130,14 +130,15 @@ TEST(VerifierReconfig, LshConfigChangesTakeEffect) {
   cfg.samples_q = 3;
   cfg.beta = 2e-3;
   cfg.use_lsh = true;
-  cfg.lsh_config = lsh::LshConfig{{1.0, 2, 4}, dim, 1};
+  const auto family = std::make_shared<const lsh::PStableLsh>(
+      lsh::LshConfig{{1.0, 2, 4}, dim, 1});
   core::Verifier verifier(task.factory, task.hp, cfg);
+  verifier.set_lsh_family(family);
 
   // Epoch 1: commit under family seed 1 -> verify passes.
   {
-    const lsh::PStableLsh hasher(*cfg.lsh_config);
     const core::Commitment c =
-        core::commit_v2(trace, hasher, &init.trainable_mask());
+        core::commit_v2(trace, *family, &init.trainable_mask());
     sim::DeviceExecution md(sim::device_g3090(), 2);
     EXPECT_TRUE(verifier
                     .verify(c, trace, ctx, core::hash_state(ctx.initial), md)
@@ -147,10 +148,10 @@ TEST(VerifierReconfig, LshConfigChangesTakeEffect) {
   // built under the OLD family no longer LSH-matches, but the double-check
   // still rescues the honest worker — family rotation can never hurt them.
   {
-    const lsh::PStableLsh old_hasher(*cfg.lsh_config);
     const core::Commitment stale =
-        core::commit_v2(trace, old_hasher, &init.trainable_mask());
-    verifier.set_lsh_config(lsh::LshConfig{{1.0, 2, 4}, dim, 2});
+        core::commit_v2(trace, *family, &init.trainable_mask());
+    verifier.set_lsh_family(std::make_shared<const lsh::PStableLsh>(
+        lsh::LshConfig{{1.0, 2, 4}, dim, 2}));
     sim::DeviceExecution md(sim::device_g3090(), 3);
     const core::VerifyResult vr =
         verifier.verify(stale, trace, ctx, core::hash_state(ctx.initial), md);

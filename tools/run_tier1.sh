@@ -92,6 +92,8 @@ cmake -B "${BUILD_DIR}-asan" -S . -DRPOL_SANITIZE=address
 cmake --build "${BUILD_DIR}-asan" -j "$(nproc)"
 (cd "${BUILD_DIR}-asan" && ctest --output-on-failure -j "$(nproc)")
 
+# RPOL_SANITIZE=undefined also enables -fsanitize=float-cast-overflow, which
+# -fsanitize=undefined leaves out (CMakeLists.txt).
 echo "==> tier-1 pass 8/8: UndefinedBehaviorSanitizer (RPOL_SANITIZE=undefined)"
 cmake -B "${BUILD_DIR}-ubsan" -S . -DRPOL_SANITIZE=undefined
 cmake --build "${BUILD_DIR}-ubsan" -j "$(nproc)"
