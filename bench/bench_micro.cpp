@@ -265,8 +265,8 @@ core::Commitment seed_commit_v2(const core::EpochTrace& trace,
 }
 
 // Seed-shaped proof generation: rebuilds the state tree AND re-hashes every
-// LSH leaf for each transition, exactly like pre-pipeline
-// make_transition_proof.
+// LSH leaf for each transition, exactly like the pre-pipeline one-shot
+// proof helper.
 std::vector<Digest> seed_transition_proof(const core::Commitment& full,
                                           std::size_t transition) {
   const auto state_levels = seed_merkle_levels(full.state_hashes);
@@ -753,7 +753,7 @@ void run_stream_harness() {
       store->append(state);
     }
     full = builder.finish();
-    compact = builder.compact();
+    compact = core::compact_commitment(full);
     benchmark::DoNotOptimize(compact);
   });
 

@@ -200,7 +200,6 @@ StreamedEpoch run_streamed_epoch(WorkerPolicy& policy, StepExecutor& executor,
   out.step_of = std::move(info.step_of);
   out.mean_loss = info.mean_loss;
   out.commitment = builder.finish();
-  out.compact = builder.compact();
   return out;
 }
 

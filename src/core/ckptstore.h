@@ -126,7 +126,7 @@ class CheckpointStore final : public CheckpointSource, public CheckpointSink {
 
 // ---------------------------------------------------------------------------
 // Streamed worker epoch: drives WorkerPolicy::stream_trace with a sink that
-// forwards each fresh checkpoint to BOTH a CommitmentBuilder (hash + fold,
+// forwards each fresh checkpoint to BOTH a CommitmentBuilder (hash + append,
 // then forget) and a CheckpointStore (spill + bounded hot cache). The result
 // carries everything the pool's commit/verify/aggregate phases need without
 // an EpochTrace ever existing.
@@ -135,8 +135,7 @@ struct StreamedEpoch {
   std::unique_ptr<CheckpointStore> store;  // plays the worker's proof store
   std::vector<std::int64_t> step_of;
   float mean_loss = 0.0F;
-  Commitment commitment;       // identical to commit_v1/v2 over the sequence
-  CompactCommitment compact;   // identical to CommitmentIndex::compact()
+  Commitment commitment;  // identical to commit_v1/v2 over the sequence
 };
 
 // `version`/`hasher`/`mask` follow the CommitmentBuilder contract (hasher

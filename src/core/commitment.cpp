@@ -14,12 +14,40 @@ namespace {
 // pre-sized slot, preserving bitwise thread-count invariance.
 constexpr std::int64_t kLeafGrain = 1;
 
-void hash_state_range(const EpochTrace& trace, std::vector<Digest>& out,
-                      std::int64_t lo, std::int64_t hi) {
-  for (std::int64_t j = lo; j < hi; ++j) {
-    out[static_cast<std::size_t>(j)] =
-        hash_state(trace.checkpoints[static_cast<std::size_t>(j)]);
+// One checkpoint's commitment leaves, written into slot j of `c`: the
+// SHA-256 of the state and, for v2 (`hasher` set), the LSH digest of its
+// trainable weights. The one definition of a leaf, shared by the batch
+// commit_v1/v2 and CommitmentBuilder.
+void hash_leaves(const TrainState& state, const lsh::PStableLsh* hasher,
+                 const std::vector<bool>* mask, Commitment& c, std::size_t j) {
+  c.state_hashes[j] = hash_state(state);
+  if (hasher != nullptr) {
+    c.lsh_digests[j] = hasher->hash(
+        mask != nullptr ? extract_trainable(state.model, *mask) : state.model);
   }
+}
+
+// Batch commitment over a materialized trace, v2 iff `hasher` is set.
+// PStableLsh::hash is const and stateless per call, so fanning the leaf
+// work across checkpoints is safe and deterministic.
+Commitment commit_trace(const EpochTrace& trace, const lsh::PStableLsh* hasher,
+                        const std::vector<bool>* mask) {
+  if (trace.checkpoints.empty()) throw std::invalid_argument("empty trace");
+  Commitment c;
+  c.version =
+      hasher != nullptr ? CommitmentVersion::kV2 : CommitmentVersion::kV1;
+  c.state_hashes.resize(trace.checkpoints.size());
+  if (hasher != nullptr) c.lsh_digests.resize(trace.checkpoints.size());
+  runtime::parallel_for(
+      0, static_cast<std::int64_t>(trace.checkpoints.size()), kLeafGrain,
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t j = lo; j < hi; ++j) {
+          const auto i = static_cast<std::size_t>(j);
+          hash_leaves(trace.checkpoints[i], hasher, mask, c, i);
+        }
+      });
+  c.root = commitment_root(c);
+  return c;
 }
 
 // Hashes every LSH digest into its domain-separated Merkle leaf, in parallel.
@@ -110,38 +138,12 @@ std::uint64_t Commitment::byte_size() const {
 }
 
 Commitment commit_v1(const EpochTrace& trace) {
-  if (trace.checkpoints.empty()) throw std::invalid_argument("empty trace");
-  Commitment c;
-  c.version = CommitmentVersion::kV1;
-  c.state_hashes.resize(trace.checkpoints.size());
-  runtime::parallel_for(0, static_cast<std::int64_t>(trace.checkpoints.size()),
-                        kLeafGrain, [&](std::int64_t lo, std::int64_t hi) {
-                          hash_state_range(trace, c.state_hashes, lo, hi);
-                        });
-  c.root = commitment_root(c);
-  return c;
+  return commit_trace(trace, nullptr, nullptr);
 }
 
 Commitment commit_v2(const EpochTrace& trace, const lsh::PStableLsh& hasher,
                      const std::vector<bool>* mask) {
-  if (trace.checkpoints.empty()) throw std::invalid_argument("empty trace");
-  Commitment c;
-  c.version = CommitmentVersion::kV2;
-  const auto n = static_cast<std::int64_t>(trace.checkpoints.size());
-  c.state_hashes.resize(trace.checkpoints.size());
-  c.lsh_digests.resize(trace.checkpoints.size());
-  // PStableLsh::hash is const and stateless per call, so fanning both the
-  // SHA and LSH leaf work across checkpoints is safe and deterministic.
-  runtime::parallel_for(0, n, kLeafGrain, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t j = lo; j < hi; ++j) {
-      const auto& state = trace.checkpoints[static_cast<std::size_t>(j)];
-      c.state_hashes[static_cast<std::size_t>(j)] = hash_state(state);
-      c.lsh_digests[static_cast<std::size_t>(j)] = hasher.hash(
-          mask != nullptr ? extract_trainable(state.model, *mask) : state.model);
-    }
-  });
-  c.root = commitment_root(c);
-  return c;
+  return commit_trace(trace, &hasher, mask);
 }
 
 Digest commitment_root(const Commitment& commitment) {
@@ -155,11 +157,6 @@ Digest commitment_root(const Commitment& commitment) {
     h.update(encoded);
   }
   return h.finish();
-}
-
-Digest commitment_merkle_root(const Commitment& commitment) {
-  MerkleTree tree(commitment.state_hashes);
-  return tree.root();
 }
 
 Digest lsh_leaf_digest(const lsh::LshDigest& digest) {
@@ -216,25 +213,19 @@ CompactCommitment compact_commitment(const Commitment& full) {
 CommitmentBuilder::CommitmentBuilder(CommitmentVersion version,
                                      const lsh::PStableLsh* hasher,
                                      const std::vector<bool>* mask)
-    : version_(version), hasher_(hasher), mask_(mask) {
-  if (version_ == CommitmentVersion::kV2 && hasher_ == nullptr) {
+    : hasher_(version == CommitmentVersion::kV2 ? hasher : nullptr),
+      mask_(mask) {
+  if (version == CommitmentVersion::kV2 && hasher_ == nullptr) {
     throw std::invalid_argument("v2 commitment builder needs an LSH hasher");
   }
-  acc_.version = version_;
+  acc_.version = version;
 }
 
 void CommitmentBuilder::add_checkpoint(const TrainState& state) {
-  const Digest state_hash = hash_state(state);
-  acc_.state_hashes.push_back(state_hash);
-  state_acc_.push(state_hash);
-  if (version_ == CommitmentVersion::kV2) {
-    lsh::LshDigest digest = hasher_->hash(
-        mask_ != nullptr ? extract_trainable(state.model, *mask_)
-                         : state.model);
-    lsh_acc_.push(lsh_leaf_digest(digest));
-    acc_.lsh_digests.push_back(std::move(digest));
-  }
-  mem_.set(acc_.byte_size() + state_acc_.byte_size() + lsh_acc_.byte_size());
+  acc_.state_hashes.emplace_back();
+  if (hasher_ != nullptr) acc_.lsh_digests.emplace_back();
+  hash_leaves(state, hasher_, mask_, acc_, acc_.state_hashes.size() - 1);
+  mem_.set(acc_.byte_size());
 }
 
 Commitment CommitmentBuilder::finish() const {
@@ -246,18 +237,6 @@ Commitment CommitmentBuilder::finish() const {
   return out;
 }
 
-CompactCommitment CommitmentBuilder::compact() const {
-  if (acc_.state_hashes.empty()) {
-    throw std::invalid_argument("empty commitment");
-  }
-  CompactCommitment compact;
-  compact.version = version_;
-  compact.num_checkpoints = count();
-  compact.state_root = state_acc_.root();
-  if (version_ == CommitmentVersion::kV2) compact.lsh_root = lsh_acc_.root();
-  return compact;
-}
-
 std::uint64_t TransitionProof::byte_size() const {
   std::uint64_t total = 8 + 32 + 32;  // index + two hashes
   total += 33ULL * (in_membership.siblings.size() +
@@ -265,15 +244,6 @@ std::uint64_t TransitionProof::byte_size() const {
                     out_lsh_membership.siblings.size());
   total += 32ULL * out_lsh.groups.size();
   return total;
-}
-
-TransitionProof make_transition_proof(const Commitment& full,
-                                      std::int64_t transition) {
-  const auto count = static_cast<std::int64_t>(full.state_hashes.size());
-  if (transition < 0 || transition + 1 >= count) {
-    throw std::out_of_range("transition index out of range");
-  }
-  return CommitmentIndex(full).prove_transition(transition);
 }
 
 bool verify_transition_proof(const CompactCommitment& compact,

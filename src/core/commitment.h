@@ -75,10 +75,6 @@ Commitment commit_v2(const EpochTrace& trace, const lsh::PStableLsh& hasher,
 // Root over the ordered hash list (+ LSH digests for v2).
 Digest commitment_root(const Commitment& commitment);
 
-// Alternative Merkle-tree root over the state hashes (Sec. V-B's second
-// construction); verifiable per-leaf with MerkleTree::prove/verify.
-Digest commitment_merkle_root(const Commitment& commitment);
-
 // Integrity check: recomputes the root from the lists.
 bool commitment_consistent(const Commitment& commitment);
 
@@ -97,7 +93,8 @@ struct CompactCommitment {
   std::uint64_t byte_size() const { return 8 + 32 + 32 + 1; }
 };
 
-// Collapses a full commitment into its compact form.
+// Collapses a full commitment into its compact form (through a throwaway
+// CommitmentIndex, so O(n) hashing per call).
 CompactCommitment compact_commitment(const Commitment& full);
 
 // Everything the manager needs to check one sampled transition under the
@@ -114,16 +111,10 @@ struct TransitionProof {
   std::uint64_t byte_size() const;
 };
 
-// Builds the membership proofs from the worker-side full commitment.
-// Convenience wrapper: builds a throwaway CommitmentIndex, so each call pays
-// O(n) hashing. Callers proving more than one transition (the verifier's
-// sampled loop, batch provers) should build a CommitmentIndex once instead.
-TransitionProof make_transition_proof(const Commitment& full,
-                                      std::int64_t transition);
-
-// Memoized Merkle trees over a full commitment. Builds the state tree (and,
-// for v2, the LSH-leaf tree) exactly once — with parallel leaf hashing and
-// level construction — then answers compact roots and transition proofs in
+// Memoized Merkle trees over a full commitment — the one Merkle
+// construction of a commitment. Builds the state tree (and, for v2, the
+// LSH-leaf tree) exactly once — with parallel leaf hashing and level
+// construction — then answers compact roots and transition proofs in
 // O(log n) without re-hashing anything. Borrows `full`, which must outlive
 // the index and must not be mutated while the index is alive.
 class CommitmentIndex {
@@ -139,8 +130,8 @@ class CommitmentIndex {
   // Equivalent to compact_commitment(full()), from the memoized trees.
   CompactCommitment compact() const;
 
-  // Equivalent to make_transition_proof(full(), transition); throws
-  // std::out_of_range on a bad index.
+  // The membership proofs for one transition, as the worker-side prover
+  // ships them; throws std::out_of_range on a bad index.
   TransitionProof prove_transition(std::int64_t transition) const;
 
  private:
@@ -154,15 +145,15 @@ class CommitmentIndex {
 
 // ---------------------------------------------------------------------------
 // Streaming commitment construction (ROADMAP item 5): checkpoints are hashed
-// and folded AS THEY ARE PRODUCED, so only the 32-byte digests (plus two
-// O(log n) Merkle frontiers) stay resident — never the checkpoint states.
-// The worker trains a transition, feeds the fresh state here, and can drop
-// (or spill, core/ckptstore.h) the state immediately.
+// AS THEY ARE PRODUCED, so only the 32-byte digests stay resident — never
+// the checkpoint states. The worker trains a transition, feeds the fresh
+// state here, and can drop (or spill, core/ckptstore.h) the state
+// immediately. Compact roots, when wanted, are compact_commitment(finish()).
 //
 // Equivalence contract (§6, pinned by tests/core_commitment_golden_test):
 // for any checkpoint sequence, finish() is bitwise identical to
-// commit_v1/commit_v2 over the materialized trace, and compact() matches
-// CommitmentIndex::compact() roots.
+// commit_v1/commit_v2 over the materialized trace; both hash each
+// checkpoint's leaves through the same function.
 class CommitmentBuilder {
  public:
   // v1: hasher == nullptr. v2: `hasher` is the epoch's manager-distributed
@@ -173,8 +164,8 @@ class CommitmentBuilder {
                              const lsh::PStableLsh* hasher = nullptr,
                              const std::vector<bool>* mask = nullptr);
 
-  // Hashes the checkpoint (SHA + LSH for v2) and folds the leaves into the
-  // running accumulators. The state is not retained.
+  // Hashes the checkpoint (SHA + LSH for v2) and appends its leaves. The
+  // state is not retained.
   void add_checkpoint(const TrainState& state);
 
   std::int64_t count() const {
@@ -187,17 +178,10 @@ class CommitmentBuilder {
   // std::invalid_argument when no checkpoint was added.
   Commitment finish() const;
 
-  // The streamed compact roots — identical to compact_commitment(finish())
-  // but O(log n) from the frontiers, with no tree ever materialized.
-  CompactCommitment compact() const;
-
  private:
-  CommitmentVersion version_;
-  const lsh::PStableLsh* hasher_;
+  const lsh::PStableLsh* hasher_;  // v2 only
   const std::vector<bool>* mask_;
-  Commitment acc_;                // digest lists only; root filled by finish()
-  MerkleAccumulator state_acc_;   // over the state hashes
-  MerkleAccumulator lsh_acc_;     // v2: over the domain-separated LSH leaves
+  Commitment acc_;                 // digest lists only; root filled by finish()
   // Resident digest bytes charged to the merkle tag while the builder lives.
   obs::MemScope mem_{obs::MemTag::kMerkle};
 };

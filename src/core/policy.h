@@ -31,7 +31,7 @@ struct EpochContext {
 };
 
 // Receives checkpoints one at a time as a policy produces them. The
-// streaming pipeline (core/ckptstore.h) implements it by folding each state
+// streaming pipeline (core/ckptstore.h) implements it by hashing each state
 // into a CommitmentBuilder and parking the bytes in a spill-backed
 // CheckpointStore, so a streaming producer never owns the full chain.
 class CheckpointSink {

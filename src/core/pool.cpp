@@ -325,11 +325,9 @@ void MiningPool::train_commit_worker(EpochWorkspace& ws, std::size_t w) {
   }
 
   // Upload: final model update + commitment (compact mode uploads only
-  // the Merkle roots). The streamed compact roots are identical to
-  // compact_commitment's (CommitmentBuilder contract).
+  // the Merkle roots).
   if (config_.compact_commitments) {
-    slot.compact = config_.streaming ? slot.streamed.compact
-                                     : compact_commitment(slot.commitment);
+    slot.compact = compact_commitment(slot.commitment);
   }
   const std::uint64_t commitment_bytes = config_.compact_commitments
                                              ? slot.compact->byte_size()

@@ -318,7 +318,8 @@ SessionOutcome run_protocol_session(
 
     {
       obs::Span s("commit", worker_span, /*worker=*/0);
-      if (config.scheme == Scheme::kRPoLv2) {
+      if (config.scheme == Scheme::kRPoLv2 &&
+          byzantine != fault::Byzantine::kCommitmentDowngrade) {
         const lsh::PStableLsh hasher(*worker_view->lsh);
         commitment =
             commit_v2(trace, hasher, &worker_executor.trainable_mask());
@@ -336,9 +337,22 @@ SessionOutcome run_protocol_session(
 
     {
       obs::Span s("submit", worker_span, /*worker=*/0);
+      // A commitment of the other scheme is rejected at decode time: an
+      // RPoLv1 list in an RPoLv2 session has no LSH digests to match.
+      const CommitmentVersion expected_version =
+          config.scheme == Scheme::kRPoLv2 ? CommitmentVersion::kV2
+                                           : CommitmentVersion::kV1;
       manager_commitment = exchange.run(
           MessageType::kCommitment, commit_wire, /*to_worker=*/false,
-          [](const Bytes& b) { return decode_commitment(b); }, s.context());
+          [&](const Bytes& b) {
+            Commitment decoded = decode_commitment(b);
+            if (decoded.version != expected_version) {
+              throw std::invalid_argument(
+                  "commitment version does not match the session scheme");
+            }
+            return decoded;
+          },
+          s.context());
       if (!manager_commitment.has_value()) return finish(std::move(outcome));
 
       // The model update itself (final weights) travels with the commitment.

@@ -43,6 +43,13 @@ void note_failure(VerifyResult& result, VerifyFailure failure) {
   if (result.failure == VerifyFailure::kNone) result.failure = failure;
 }
 
+// Ends a verification before any transition is sampled.
+VerifyResult reject(VerifyResult result, VerifyFailure failure) {
+  result.failure = failure;
+  record_verdict(result);
+  return result;
+}
+
 // In-memory adapter: lets the EpochTrace overloads delegate to the
 // streaming implementations, so both paths share one decision procedure
 // (bitwise-identical verdicts by construction).
@@ -144,20 +151,10 @@ VerifyResult Verifier::verify_compact(const CompactCommitment& compact,
                                       const Digest& expected_initial_hash,
                                       sim::DeviceExecution& device,
                                       const obs::TraceContext& trace_parent) {
-  VerifyResult result;
-  const std::int64_t transitions = source.num_checkpoints() - 1;
-  if (transitions <= 0 || compact.num_checkpoints != source.num_checkpoints() ||
-      compact.version != full.version ||
-      step_of != hp_.checkpoint_boundaries()) {
-    result.failure = VerifyFailure::kMalformed;
-    record_verdict(result);
-    return result;
-  }
-  const bool use_lsh = compact.version == CommitmentVersion::kV2;
-  if (use_lsh != config_.use_lsh) {
-    result.failure = VerifyFailure::kMalformed;
-    record_verdict(result);
-    return result;
+  if (!well_formed(compact.version, compact.num_checkpoints, source,
+                   step_of) ||
+      compact.version != full.version) {
+    return reject({}, VerifyFailure::kMalformed);
   }
 
   // One memoized tree build covers the leaf-0 binding AND every sampled
@@ -167,6 +164,7 @@ VerifyResult Verifier::verify_compact(const CompactCommitment& compact,
 
   // Initial-state binding: the worker proves leaf 0 under state_root is the
   // distributed state's hash.
+  VerifyResult result;
   {
     const TransitionProof leaf0 = index.prove_transition(0);
     result.proof_bytes += leaf0.byte_size();
@@ -174,100 +172,28 @@ VerifyResult Verifier::verify_compact(const CompactCommitment& compact,
         leaf0.in_membership.path_index() != 0 ||
         !MerkleTree::verify(compact.state_root, leaf0.in_hash,
                             leaf0.in_membership)) {
-      result.failure = VerifyFailure::kInitialBinding;
-      record_verdict(result);
-      return result;
+      return reject(std::move(result), VerifyFailure::kInitialBinding);
     }
   }
 
-  const auto samples =
+  // The bound digests arrive with membership proofs generated worker-side
+  // and checked against the compact roots.
+  const auto from_proofs = [&](std::int64_t j) {
+    TransitionProof proof = index.prove_transition(j);
+    BoundTransition bound;
+    bound.proof_bytes = proof.byte_size();
+    bound.proven = verify_transition_proof(compact, proof);
+    bound.in_hash = proof.in_hash;
+    bound.out_hash = proof.out_hash;
+    bound.out_lsh = std::move(proof.out_lsh);
+    return bound;
+  };
+  return check_transitions(
+      std::move(result),
       sample_transitions(config_.sampling_seed,
-                         compact_commitment_binding(compact), transitions,
-                         config_.samples_q);
-  const DeterministicSelector selector(context.nonce);
-  const std::vector<bool>& mask = executor_.trainable_mask();
-
-  bool all_passed = true;
-  for (const std::int64_t j : samples) {
-    TransitionCheck check;
-    check.transition = j;
-
-    // Membership proofs for this transition, generated worker-side.
-    const TransitionProof proof = index.prove_transition(j);
-    result.proof_bytes += proof.byte_size();
-    check.hash_ok = verify_transition_proof(compact, proof);
-    if (!check.hash_ok) {
-      note_failure(result, VerifyFailure::kHashMismatch);
-      all_passed = false;
-      result.checks.push_back(check);
-      continue;
-    }
-
-    // Fetch and hash-check the input state against the proven leaf. The
-    // fetch is a copy (possibly reloaded from a spill file); it dies with
-    // this block so at most one non-replay checkpoint is resident at once.
-    {
-      const TrainState proof_in = source.fetch(j);
-      result.proof_bytes += proof_in.byte_size();
-      if (!digest_equal(hash_state(proof_in), proof.in_hash)) {
-        note_failure(result, VerifyFailure::kHashMismatch);
-        check.hash_ok = false;
-        all_passed = false;
-        result.checks.push_back(check);
-        continue;
-      }
-
-      const std::int64_t first = step_of[static_cast<std::size_t>(j)];
-      const std::int64_t count =
-          step_of[static_cast<std::size_t>(j + 1)] - first;
-      {
-        obs::Span reexec("reexecute", trace_parent);
-        reexec.attr("transition", j);
-        reexec.attr("steps", count);
-        executor_.load_state(proof_in);
-        executor_.run_steps(first, count, *context.dataset, selector, &device);
-      }
-      result.reexecuted_steps += count;
-    }
-    const TrainState replay = executor_.save_state();
-
-    if (!use_lsh) {
-      const TrainState claimed = source.fetch(j + 1);
-      result.proof_bytes += claimed.byte_size();
-      if (digest_equal(hash_state(claimed), proof.out_hash)) {
-        check.distance = trainable_distance(replay.model, claimed.model, mask);
-        check.passed = check.distance <= config_.beta;
-      } else {
-        check.hash_ok = false;
-      }
-    } else {
-      const lsh::LshDigest replay_digest =
-          hasher().hash(extract_trainable(replay.model, mask));
-      check.lsh_matched = lsh::lsh_match(replay_digest, proof.out_lsh);
-      if (check.lsh_matched) {
-        check.passed = true;
-      } else {
-        ++result.lsh_mismatches;
-        ++result.double_checks;
-        check.double_checked = true;
-        // Double-check fetches the raw output state on demand only.
-        const TrainState claimed = source.fetch(j + 1);
-        result.proof_bytes += claimed.byte_size();
-        if (digest_equal(hash_state(claimed), proof.out_hash)) {
-          check.distance = trainable_distance(replay.model, claimed.model, mask);
-          check.passed = check.distance <= config_.beta;
-        } else {
-          check.hash_ok = false;
-        }
-      }
-    }
-    if (!check.passed) note_failure(result, classify_check(check));
-    all_passed = all_passed && check.passed;
-    result.checks.push_back(check);
-  }
-  result.accepted = all_passed;
-  record_verdict(result);
-  return result;
+                         compact_commitment_binding(compact),
+                         source.num_checkpoints() - 1, config_.samples_q),
+      from_proofs, source, step_of, context, device, trace_parent);
 }
 
 VerifyResult Verifier::verify(const Commitment& commitment,
@@ -287,56 +213,71 @@ VerifyResult Verifier::verify(const Commitment& commitment,
                               const Digest& expected_initial_hash,
                               sim::DeviceExecution& device,
                               const obs::TraceContext& trace_parent) {
-  VerifyResult result;
-  const std::int64_t transitions = source.num_checkpoints() - 1;
-  // The step boundaries are derived from the agreed hyper-parameters, never
-  // trusted from the prover: malformed step_of vectors (zero-length
-  // intervals, wrong counts) are rejected outright.
-  if (transitions <= 0 ||
-      static_cast<std::int64_t>(commitment.state_hashes.size()) !=
-          source.num_checkpoints() ||
-      step_of != hp_.checkpoint_boundaries()) {
-    result.failure = VerifyFailure::kMalformed;
-    record_verdict(result);
-    return result;  // malformed => reject
-  }
-  if (!commitment_consistent(commitment)) {
-    result.failure = VerifyFailure::kMalformed;
-    record_verdict(result);
-    return result;
+  if (!well_formed(commitment.version,
+                   static_cast<std::int64_t>(commitment.state_hashes.size()),
+                   source, step_of) ||
+      !commitment_consistent(commitment)) {
+    return reject({}, VerifyFailure::kMalformed);
   }
 
   // The first checkpoint must be exactly the state the manager handed out.
   if (!digest_equal(commitment.state_hashes.front(), expected_initial_hash)) {
-    result.failure = VerifyFailure::kInitialBinding;
-    record_verdict(result);
-    return result;
+    return reject({}, VerifyFailure::kInitialBinding);
   }
 
-  const auto samples = sample_transitions(config_.sampling_seed, commitment.root,
-                                          transitions, config_.samples_q);
+  // The bound digests come straight from the uploaded lists.
+  const auto from_lists = [&](std::int64_t j) {
+    const auto i = static_cast<std::size_t>(j);
+    BoundTransition bound;
+    bound.in_hash = commitment.state_hashes[i];
+    bound.out_hash = commitment.state_hashes[i + 1];
+    if (config_.use_lsh) bound.out_lsh = commitment.lsh_digests[i + 1];
+    return bound;
+  };
+  return check_transitions(
+      VerifyResult{},
+      sample_transitions(config_.sampling_seed, commitment.root,
+                         source.num_checkpoints() - 1, config_.samples_q),
+      from_lists, source, step_of, context, device, trace_parent);
+}
+
+bool Verifier::well_formed(CommitmentVersion version,
+                           std::int64_t committed_checkpoints,
+                           const CheckpointSource& source,
+                           const std::vector<std::int64_t>& step_of) const {
+  // The step boundaries are derived from the agreed hyper-parameters, never
+  // trusted from the prover: malformed step_of vectors (zero-length
+  // intervals, wrong counts) are rejected outright. So is a commitment of
+  // the other scheme, whose digest lists the sampled checks cannot index.
+  return source.num_checkpoints() > 1 &&
+         committed_checkpoints == source.num_checkpoints() &&
+         step_of == hp_.checkpoint_boundaries() &&
+         (version == CommitmentVersion::kV2) == config_.use_lsh;
+}
+
+VerifyResult Verifier::check_transitions(
+    VerifyResult result, const std::vector<std::int64_t>& samples,
+    const std::function<BoundTransition(std::int64_t)>& bind,
+    const CheckpointSource& source, const std::vector<std::int64_t>& step_of,
+    const EpochContext& context, sim::DeviceExecution& device,
+    const obs::TraceContext& trace_parent) {
   const DeterministicSelector selector(context.nonce);
+  const std::vector<bool>& mask = executor_.trainable_mask();
 
-  bool all_passed = true;
-  for (const std::int64_t j : samples) {
-    TransitionCheck check;
-    check.transition = j;
-
-    // Fetch proof_in = C_j and hash-check it against the commitment. The
-    // fetched copy dies with this block (the executor holds the loaded
-    // weights), bounding residency to the states actively in use.
+  // Decides one transition whose digests are bound; returns early, with
+  // `check.passed` false, at the first failed step.
+  const auto decide = [&](const BoundTransition& bound,
+                          TransitionCheck& check) {
+    const std::int64_t j = check.transition;
+    // Fetch proof_in = C_j and hash-check it against the bound digest. The
+    // fetch is a copy (possibly reloaded from a spill file); it dies with
+    // this block (the executor holds the loaded weights), so at most one
+    // non-replay checkpoint is resident at once.
     {
       const TrainState proof_in = source.fetch(j);
       result.proof_bytes += proof_in.byte_size();
-      check.hash_ok =
-          digest_equal(hash_state(proof_in),
-                       commitment.state_hashes[static_cast<std::size_t>(j)]);
-      if (!check.hash_ok) {
-        note_failure(result, VerifyFailure::kHashMismatch);
-        all_passed = false;
-        result.checks.push_back(check);
-        continue;
-      }
+      check.hash_ok = digest_equal(hash_state(proof_in), bound.in_hash);
+      if (!check.hash_ok) return;
 
       // Re-execute the transition on the manager's device.
       const std::int64_t first = step_of[static_cast<std::size_t>(j)];
@@ -353,44 +294,38 @@ VerifyResult Verifier::verify(const Commitment& commitment,
     }
     const TrainState replay = executor_.save_state();
 
-    const std::vector<bool>& mask = executor_.trainable_mask();
-    if (!config_.use_lsh) {
-      // RPoLv1: fetch the claimed output too and distance-test it.
-      const TrainState claimed = source.fetch(j + 1);
-      result.proof_bytes += claimed.byte_size();
-      const bool out_hash_ok =
-          digest_equal(hash_state(claimed),
-                       commitment.state_hashes[static_cast<std::size_t>(j + 1)]);
-      check.hash_ok = check.hash_ok && out_hash_ok;
-      if (out_hash_ok) {
-        check.distance = trainable_distance(replay.model, claimed.model, mask);
-        check.passed = check.distance <= config_.beta;
-      }
-    } else {
-      // RPoLv2: fuzzy-match the replayed weights against the committed LSH
-      // digest of C_{j+1}; fall back to the double-check on mismatch.
+    // RPoLv2 first fuzzy-matches the replayed weights against the committed
+    // LSH digest of C_{j+1}; on a miss it runs the double-check below.
+    if (config_.use_lsh) {
       const lsh::LshDigest replay_digest =
           hasher().hash(extract_trainable(replay.model, mask));
-      check.lsh_matched = lsh::lsh_match(
-          replay_digest, commitment.lsh_digests[static_cast<std::size_t>(j + 1)]);
+      check.lsh_matched = lsh::lsh_match(replay_digest, bound.out_lsh);
       if (check.lsh_matched) {
         check.passed = true;
-      } else {
-        ++result.lsh_mismatches;
-        ++result.double_checks;
-        check.double_checked = true;
-        // Double-check: only now is the raw output state pulled in.
-        const TrainState claimed = source.fetch(j + 1);
-        result.proof_bytes += claimed.byte_size();
-        const bool out_hash_ok = digest_equal(
-            hash_state(claimed),
-            commitment.state_hashes[static_cast<std::size_t>(j + 1)]);
-        if (out_hash_ok) {
-          check.distance = trainable_distance(replay.model, claimed.model, mask);
-          check.passed = check.distance <= config_.beta;
-        }
+        return;
       }
+      ++result.lsh_mismatches;
+      ++result.double_checks;
+      check.double_checked = true;
     }
+    // RPoLv1 and the double-check: only now is the raw output state pulled
+    // in, hash-checked and distance-tested.
+    const TrainState claimed = source.fetch(j + 1);
+    result.proof_bytes += claimed.byte_size();
+    check.hash_ok = digest_equal(hash_state(claimed), bound.out_hash);
+    if (!check.hash_ok) return;
+    check.distance = trainable_distance(replay.model, claimed.model, mask);
+    check.passed = check.distance <= config_.beta;
+  };
+
+  bool all_passed = true;
+  for (const std::int64_t j : samples) {
+    TransitionCheck check;
+    check.transition = j;
+    const BoundTransition bound = bind(j);
+    result.proof_bytes += bound.proof_bytes;
+    // An unproven binding leaves hash_ok false: a kHashMismatch check.
+    if (bound.proven) decide(bound, check);
     if (!check.passed) note_failure(result, classify_check(check));
     all_passed = all_passed && check.passed;
     result.checks.push_back(check);

@@ -150,12 +150,39 @@ class Verifier {
                               const obs::TraceContext& trace_parent = {});
 
  private:
+  // What one sampled transition j is checked against: the committed
+  // digests of C_j and C_{j+1} (plus the LSH digest of C_{j+1} for v2),
+  // and the proof bytes that carried them. `proven` is false when their
+  // membership proof failed (compact path only).
+  struct BoundTransition {
+    bool proven = true;
+    std::uint64_t proof_bytes = 0;
+    Digest in_hash{};
+    Digest out_hash{};
+    lsh::LshDigest out_lsh;
+  };
+
   Hyperparams hp_;
   VerifierConfig config_;
   StepExecutor executor_;
   std::shared_ptr<const lsh::PStableLsh> lsh_family_;
 
   const lsh::PStableLsh& hasher() const;
+
+  // The preamble both commitment forms share; false means kMalformed.
+  bool well_formed(CommitmentVersion version,
+                   std::int64_t committed_checkpoints,
+                   const CheckpointSource& source,
+                   const std::vector<std::int64_t>& step_of) const;
+
+  // The one sampled-check loop: binds each sampled transition through
+  // `bind`, re-executes it and decides it, then records the verdict.
+  VerifyResult check_transitions(
+      VerifyResult result, const std::vector<std::int64_t>& samples,
+      const std::function<BoundTransition(std::int64_t)>& bind,
+      const CheckpointSource& source,
+      const std::vector<std::int64_t>& step_of, const EpochContext& context,
+      sim::DeviceExecution& device, const obs::TraceContext& trace_parent);
 };
 
 }  // namespace rpol::core

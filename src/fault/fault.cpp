@@ -12,6 +12,7 @@ const char* byzantine_name(Byzantine behavior) {
     case Byzantine::kForgedCheckpointState: return "forged_checkpoint_state";
     case Byzantine::kProofWithholding: return "proof_withholding";
     case Byzantine::kOversizedPayload: return "oversized_payload";
+    case Byzantine::kCommitmentDowngrade: return "commitment_downgrade";
   }
   return "unknown";
 }

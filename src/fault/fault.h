@@ -74,6 +74,8 @@ enum class Byzantine : int {
                             // to the commitment
   kProofWithholding,        // never answers proof requests
   kOversizedPayload,        // uploads a junk payload of absurd size
+  kCommitmentDowngrade,     // commits an RPoLv1 hash list in an RPoLv2
+                            // session (no LSH digests to check against)
 };
 
 const char* byzantine_name(Byzantine behavior);

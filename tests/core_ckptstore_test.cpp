@@ -255,12 +255,13 @@ TEST_F(StreamFixture, StreamedCommitMatchesBatchV1) {
                              batch.state_hashes[i]));
   }
   EXPECT_TRUE(digest_equal(streamed.commitment.root, batch.root));
-  // Compact roots match the tree-built ones (O(log n) frontiers vs full
-  // Merkle tree).
+  // Compact roots over the streamed lists match the batch ones.
+  const CompactCommitment streamed_compact =
+      compact_commitment(streamed.commitment);
   const CompactCommitment tree_compact = compact_commitment(batch);
-  EXPECT_TRUE(digest_equal(streamed.compact.state_root,
+  EXPECT_TRUE(digest_equal(streamed_compact.state_root,
                            tree_compact.state_root));
-  EXPECT_EQ(streamed.compact.num_checkpoints, tree_compact.num_checkpoints);
+  EXPECT_EQ(streamed_compact.num_checkpoints, tree_compact.num_checkpoints);
   // The spilled states come back bitwise equal to the trace's.
   ASSERT_EQ(streamed.store->num_checkpoints(),
             static_cast<std::int64_t>(trace.checkpoints.size()));
@@ -294,10 +295,12 @@ TEST_F(StreamFixture, StreamedCommitMatchesBatchV2) {
     EXPECT_TRUE(lsh::lsh_match(streamed.commitment.lsh_digests[i],
                                batch.lsh_digests[i]));
   }
+  const CompactCommitment streamed_compact =
+      compact_commitment(streamed.commitment);
   const CompactCommitment tree_compact = compact_commitment(batch);
-  EXPECT_TRUE(digest_equal(streamed.compact.state_root,
+  EXPECT_TRUE(digest_equal(streamed_compact.state_root,
                            tree_compact.state_root));
-  EXPECT_TRUE(digest_equal(streamed.compact.lsh_root, tree_compact.lsh_root));
+  EXPECT_TRUE(digest_equal(streamed_compact.lsh_root, tree_compact.lsh_root));
 }
 
 TEST_F(StreamFixture, SourceVerifyMatchesTraceVerify) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/ckptstore.h"
 #include "core/verifier.h"
 #include "data/partition.h"
 #include "task_fixture.h"
@@ -179,7 +180,7 @@ TEST_F(ProtocolFixture, CommitV2AddsLshDigests) {
 TEST_F(ProtocolFixture, MerkleRootAlternativeWorks) {
   const EpochTrace trace = honest_trace();
   const Commitment c = commit_v1(trace);
-  const Digest root = commitment_merkle_root(c);
+  const Digest root = compact_commitment(c).state_root;
   MerkleTree tree(c.state_hashes);
   const MerkleProof proof = tree.prove(1);
   EXPECT_TRUE(MerkleTree::verify(root, c.state_hashes[1], proof));
@@ -376,6 +377,101 @@ TEST_F(VerifierFixture, MalformedCommitmentRejected) {
   commitment.state_hashes.pop_back();
   const VerifyResult r = run_verify(trace, commitment, false);
   EXPECT_FALSE(r.accepted);
+}
+
+// Both commitment forms through both overloads: the in-memory trace and a
+// CheckpointSource (a store holding the same checkpoints).
+std::vector<VerifyResult> verify_every_entry_point(
+    Verifier& verifier, const Commitment& commitment, const EpochTrace& trace,
+    const EpochContext& context) {
+  CheckpointStore store;
+  for (const TrainState& checkpoint : trace.checkpoints) {
+    store.append(checkpoint);
+  }
+  const CompactCommitment compact = compact_commitment(commitment);
+  const Digest initial = hash_state(context.initial);
+  sim::DeviceExecution device(sim::device_g3090(), 1234);
+  std::vector<VerifyResult> results;
+  results.push_back(
+      verifier.verify(commitment, trace, context, initial, device));
+  results.push_back(verifier.verify(commitment, store, trace.step_of, context,
+                                    initial, device));
+  results.push_back(verifier.verify_compact(compact, commitment, trace,
+                                            context, initial, device));
+  results.push_back(verifier.verify_compact(compact, commitment, store,
+                                            trace.step_of, context, initial,
+                                            device));
+  return results;
+}
+
+TEST_F(VerifierFixture, CommitmentOfTheOtherSchemeIsMalformed) {
+  // An RPoLv1 commitment has no LSH digests for an RPoLv2 verifier to
+  // index, and an RPoLv2 one does not belong in an RPoLv1 epoch: both are
+  // rejected before any transition is sampled or re-executed.
+  const EpochTrace trace = honest_trace();
+  const auto hasher = worker_hasher();
+  const struct {
+    Commitment commitment;
+    bool use_lsh;
+  } cases[] = {{commit_v1(trace), true}, {commit_v2(trace, hasher), false}};
+  for (const auto& c : cases) {
+    Verifier verifier(task.factory, task.hp, base_config(c.use_lsh));
+    verifier.set_lsh_family(
+        std::make_shared<const lsh::PStableLsh>(lsh_config()));
+    for (const VerifyResult& r :
+         verify_every_entry_point(verifier, c.commitment, trace, context)) {
+      EXPECT_FALSE(r.accepted);
+      EXPECT_EQ(r.failure, VerifyFailure::kMalformed)
+          << verify_failure_name(r.failure);
+      EXPECT_EQ(r.reexecuted_steps, 0);
+      EXPECT_TRUE(r.checks.empty());
+    }
+  }
+}
+
+TEST_F(VerifierFixture, DoubleCheckOfAForgedOutputIsAHashMismatch) {
+  // The verifier holds a different LSH family than the worker hashed with,
+  // so every check misses and double-checks. The worker serves a C_{j+1}
+  // for the first sampled j that does not hash to its commitment: that is a
+  // hash failure on both paths, not an LSH mismatch.
+  const EpochTrace trace = honest_trace();
+  const auto hasher = worker_hasher();
+  const Commitment commitment = commit_v2(trace, hasher);
+  const CompactCommitment compact = compact_commitment(commitment);
+  const std::int64_t transitions = trace.num_transitions();
+  lsh::LshConfig other_family = lsh_config();
+  other_family.seed += 1;
+
+  const VerifierConfig cfg = base_config(/*use_lsh=*/true);
+  for (const bool full_path : {true, false}) {
+    SCOPED_TRACE(full_path ? "full" : "compact");
+    const Digest sampling_key =
+        full_path ? commitment.root : compact_commitment_binding(compact);
+    const std::int64_t j = sample_transitions(cfg.sampling_seed, sampling_key,
+                                              transitions, cfg.samples_q)[0];
+    EpochTrace served = trace;
+    served.checkpoints[static_cast<std::size_t>(j + 1)].model[0] += 1.0F;
+
+    Verifier verifier(task.factory, task.hp, cfg);
+    verifier.set_lsh_family(
+        std::make_shared<const lsh::PStableLsh>(other_family));
+    sim::DeviceExecution device(sim::device_g3090(), 1234);
+    const VerifyResult r =
+        full_path ? verifier.verify(commitment, served, context,
+                                    hash_state(context.initial), device)
+                  : verifier.verify_compact(compact, commitment, served,
+                                            context,
+                                            hash_state(context.initial),
+                                            device);
+    ASSERT_FALSE(r.checks.empty());
+    EXPECT_EQ(r.checks[0].transition, j);
+    ASSERT_TRUE(r.checks[0].double_checked);
+    EXPECT_FALSE(r.checks[0].hash_ok);
+    EXPECT_FALSE(r.checks[0].passed);
+    EXPECT_FALSE(r.accepted);
+    EXPECT_EQ(r.failure, VerifyFailure::kHashMismatch)
+        << verify_failure_name(r.failure);
+  }
 }
 
 TEST_F(VerifierFixture, SpoofDistancesFarExceedReproductionErrors) {

@@ -231,6 +231,18 @@ std::vector<Scenario> scenarios() {
     table.push_back(s);
   }
   {
+    // An RPoLv1 hash list in an RPoLv2 session carries no LSH digests for
+    // the sampled checks to index: the manager refuses it at decode time,
+    // every retry included.
+    Scenario s;
+    s.name = "commitment_downgrade_v2";
+    s.plan = fault::FaultPlan::adversary(
+        fault::Byzantine::kCommitmentDowngrade, 39);
+    s.expect_accept = false;
+    s.expect_status = SessionStatus::kDecodeRejected;
+    table.push_back(s);
+  }
+  {
     // Byzantine behavior under a lossy transport: whichever typed failure
     // wins, the session must not accept.
     Scenario s;
@@ -324,7 +336,8 @@ TEST_F(FaultConformance, ScenarioTable) {
     if (!scenario.has_plan || !scenario.plan.has_transport_faults()) {
       if (scenario.plan.byzantine != fault::Byzantine::kProofWithholding &&
           scenario.plan.byzantine != fault::Byzantine::kOversizedPayload &&
-          scenario.plan.byzantine != fault::Byzantine::kForgedCheckpointState) {
+          scenario.plan.byzantine != fault::Byzantine::kForgedCheckpointState &&
+          scenario.plan.byzantine != fault::Byzantine::kCommitmentDowngrade) {
         EXPECT_EQ(first.total_retries, 0);
       }
       EXPECT_EQ(first.faults.total_faults(), 0u);
@@ -382,6 +395,8 @@ TEST_F(FaultConformance, StatusNamesPinned) {
                "proof_withholding");
   EXPECT_STREQ(fault::byzantine_name(fault::Byzantine::kOversizedPayload),
                "oversized_payload");
+  EXPECT_STREQ(fault::byzantine_name(fault::Byzantine::kCommitmentDowngrade),
+               "commitment_downgrade");
 }
 
 TEST(FaultPrimitives, BackoffIsExponentialAndCapped) {

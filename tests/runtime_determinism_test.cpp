@@ -248,7 +248,7 @@ TrainRun train_fixture_model(int threads) {
     run.checkpoint_bytes.push_back(core::serialize_state(s));
   }
   run.commitment = core::commit_v1(trace);
-  run.merkle_root = core::commitment_merkle_root(run.commitment);
+  run.merkle_root = core::compact_commitment(run.commitment).state_root;
   return run;
 }
 
@@ -623,7 +623,7 @@ TEST(TrainingDeterminism, StreamedPoolRunIsBitwiseIdentical) {
     cfg.samples_q = 3;
     cfg.seed = 71;
     cfg.eviction_threshold = 2;
-    cfg.compact_commitments = true;  // exercise the streamed O(log n) roots
+    cfg.compact_commitments = true;  // exercise the compact path end to end
     cfg.streaming = streaming;
     // Small enough that eviction/spill actually happens every epoch (a
     // TinyTask checkpoint serializes to ~3 KiB; 5 checkpoints per trace).

@@ -8,7 +8,8 @@
 # identity), (6) a bounded-memory pass with RPOL_CKPT_BUDGET squeezed to a
 # few KiB so the checkpoint stores spill and evict constantly, then (7) and
 # (8) under AddressSanitizer and UndefinedBehaviorSanitizer in separate
-# build trees.
+# build trees. The pool benchmark (perfbench/) is built alongside the main
+# tree but not run.
 # All passes must be green: the runtime's determinism contract says neither
 # thread count, shard count, tracing, nor the checkpoint-store budget can
 # ever change results, and the fault-injection/fuzz suites push hostile
@@ -24,6 +25,13 @@ BUILD_DIR="${1:-build}"
 
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$(nproc)"
+
+# The pool benchmark (perfbench/) is a standalone build of src/ plus its own
+# pool_bench program. Building it here, without running it, turns a removed
+# or renamed public name that pool_bench uses into a tier-1 failure.
+echo "==> tier-1 build: perfbench (built, not run)"
+cmake -B "${BUILD_DIR}-perfbench" -S perfbench
+cmake --build "${BUILD_DIR}-perfbench" -j "$(nproc)"
 
 echo "==> tier-1 pass 1/8: RPOL_THREADS=1"
 (cd "$BUILD_DIR" && RPOL_THREADS=1 ctest --output-on-failure -j "$(nproc)")
