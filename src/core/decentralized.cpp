@@ -48,17 +48,17 @@ DecentralizedResult DecentralizedVerifier::verify(
     const EpochContext& context, const Digest& expected_initial_hash,
     const std::vector<VerifierNode>& verifiers) {
   DecentralizedResult result;
-  const std::int64_t transitions = trace.num_transitions();
-  if (transitions <= 0 ||
-      commitment.state_hashes.size() != trace.checkpoints.size() ||
-      trace.step_of != hp_.checkpoint_boundaries() ||
+  if (!well_formed_epoch(
+          hp_, static_cast<std::int64_t>(commitment.state_hashes.size()),
+          static_cast<std::int64_t>(trace.checkpoints.size()), trace.step_of) ||
       !commitment_consistent(commitment) ||
       !digest_equal(commitment.state_hashes.front(), expected_initial_hash)) {
     return result;
   }
 
-  result.samples = sample_transitions(config_.assignment_seed, commitment.root,
-                                      transitions, config_.samples_q);
+  result.samples =
+      sample_transitions(config_.assignment_seed, commitment.root,
+                         trace.num_transitions(), config_.samples_q);
   const auto assignment =
       assign_verifiers(config_.assignment_seed, commitment.root, result.samples,
                        verifiers.size(), config_.verifiers_per_sample);

@@ -47,6 +47,12 @@ class CheckpointSource {
   // Checkpoint `index` in [0, num_checkpoints()); throws std::out_of_range
   // outside that window.
   virtual TrainState fetch(std::int64_t index) const = 0;
+  // Checkpoint `transition + 1` as the output of a sampled transition. A
+  // source serving proofs over a wire overrides it: with adjacent samples,
+  // j's output and j+1's input share an index but not a message.
+  virtual TrainState fetch_output(std::int64_t transition) const {
+    return fetch(transition + 1);
+  }
 };
 
 // Extracts the trainable-weight subvector of a model state (mask from

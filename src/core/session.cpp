@@ -1,7 +1,9 @@
 #include "core/session.h"
 
+#include <algorithm>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 
 #include "obs/alerts.h"
@@ -32,18 +34,23 @@ void mirror_to_registry(MessageType type, std::uint64_t bytes) {
   obs::counter(std::string("bytes.") + message_type_name(type)).add(bytes);
 }
 
+// Thrown when an exchange exhausts its retry budget, after the
+// ExchangeDriver has set the typed session status; run_protocol_session
+// catches it and ends the session. Not a std::exception, so no decode
+// handler can mistake it for a payload the receiver rejected.
+struct ExchangeFailed {};
+
 // One message exchange under the session's retry state machine: transmit
 // through the (possibly faulty) channel, decode-and-validate on the
 // receiving side, retry with exponential backoff on loss or mangling, and
-// classify the failure when the budget runs out. `decode` must throw on any
-// payload the receiver cannot accept; its return value is the exchange's
-// result. `withheld` scripts a byzantine peer that never transmits at all
-// (the sender's timeouts still burn the retry budget).
+// classify the failure when the budget runs out (ExchangeFailed). `decode`
+// must throw on any payload the receiver cannot accept; its return value is
+// the exchange's result. `withheld` scripts a byzantine peer that never
+// transmits at all (the sender's timeouts still burn the retry budget).
 struct ExchangeDriver {
   fault::FaultyChannel<CountingChannel>& channel;
   const SessionConfig& config;
   SessionOutcome& outcome;
-  bool failed = false;
   // Trace context that rode the envelope of the last successfully decoded
   // message — what the receiving side's spans adopt as their remote parent.
   obs::TraceContext last_rx{};
@@ -58,8 +65,7 @@ struct ExchangeDriver {
   template <typename DecodeFn>
   auto run(MessageType type, const Bytes& encoded, bool to_worker,
            DecodeFn&& decode, const obs::TraceContext& sender = {},
-           bool withheld = false)
-      -> std::optional<decltype(decode(encoded))> {
+           bool withheld = false) -> decltype(decode(encoded)) {
     const auto type_index = static_cast<std::size_t>(type);
     bool last_failure_was_decode = false;
     // The encoded message is buffered for the whole exchange (every retry
@@ -121,7 +127,6 @@ struct ExchangeDriver {
         continue;
       }
     }
-    failed = true;
     outcome.status = last_failure_was_decode ? SessionStatus::kDecodeRejected
                                              : SessionStatus::kTimeout;
     obs::count(std::string("session.fail.") +
@@ -132,8 +137,49 @@ struct ExchangeDriver {
     obs::flight_record(obs::FlightKind::kFault,
                        session_status_name(outcome.status));
     obs::dump_flight_record();
-    return std::nullopt;
+    throw ExchangeFailed();
   }
+};
+
+// The manager's view of the worker's proof store while Verifier::verify
+// runs. Inputs (and RPoLv1 outputs) come from the batched ProofResponse,
+// already hash-checked at decode; an RPoLv2 double-check fetches its output
+// with one more round trip. The verifier re-derives the samples the proof
+// request carried, so a fetch outside them means the two calls disagree.
+class WireProofSource final : public CheckpointSource {
+ public:
+  using DoubleCheck = std::function<ProofResponse(std::int64_t)>;
+  WireProofSource(std::int64_t committed,
+                  const std::vector<std::int64_t>& requested,
+                  const ProofResponse& proofs, DoubleCheck double_check)
+      : committed_(committed),
+        requested_(requested),
+        proofs_(proofs),
+        double_check_(std::move(double_check)) {}
+
+  std::int64_t num_checkpoints() const override { return committed_; }
+  TrainState fetch(std::int64_t index) const override {
+    return proofs_.input_states[position(index)];
+  }
+  TrainState fetch_output(std::int64_t transition) const override {
+    const std::size_t s = position(transition);
+    if (!proofs_.output_states.empty()) return proofs_.output_states[s];
+    return std::move(double_check_(transition).output_states.front());
+  }
+
+ private:
+  std::size_t position(std::int64_t transition) const {
+    const auto it = std::find(requested_.begin(), requested_.end(), transition);
+    if (it == requested_.end()) {
+      throw std::logic_error("verifier sampled a transition never requested");
+    }
+    return static_cast<std::size_t>(it - requested_.begin());
+  }
+
+  std::int64_t committed_;
+  const std::vector<std::int64_t>& requested_;
+  const ProofResponse& proofs_;
+  DoubleCheck double_check_;
 };
 
 // Deterministic checkpoint mutation for the scripted byzantine behaviors;
@@ -149,7 +195,7 @@ void perturb_state(TrainState& state, float delta) {
 // the assembler has already consumed that offset, the retransmits exhaust
 // the budget into kDecodeRejected — a state that fails validation is never
 // taken, so a torn or forged transfer cannot be accepted.
-std::optional<TrainState> exchange_state_chunked(
+TrainState exchange_state_chunked(
     ExchangeDriver& exchange, MessageType type, const TrainState& state,
     bool to_worker, const SessionConfig& config,
     const std::function<void(const TrainState&)>& validate,
@@ -161,7 +207,7 @@ std::optional<TrainState> exchange_state_chunked(
     // Materialized per iteration: the sender's resident wire footprint is
     // one encoded chunk, never the full state encoding.
     const Bytes frame = encode_state_chunk(encoder.chunk(i));
-    const auto ok = exchange.run(
+    exchange.run(
         type, frame, to_worker,
         [&](const Bytes& b) {
           assembler.accept(decode_state_chunk(b));
@@ -169,14 +215,12 @@ std::optional<TrainState> exchange_state_chunked(
           return true;
         },
         sender);
-    if (!ok.has_value()) return std::nullopt;
   }
   if (!assembler.complete()) {
     // Unreachable with the local encoder (chunk totals add up by
     // construction), kept as a typed failure rather than a crash.
-    exchange.failed = true;
     exchange.outcome.status = SessionStatus::kDecodeRejected;
-    return std::nullopt;
+    throw ExchangeFailed();
   }
   return assembler.take();
 }
@@ -223,341 +267,280 @@ SessionOutcome run_protocol_session(
       config.fault_plan ? config.fault_plan->byzantine
                         : fault::Byzantine::kNone;
 
-  // Fills transport accounting before any return; keeps every exit path
-  // consistent with the "typed bytes sum to the totals" invariant.
-  const auto finish = [&](SessionOutcome&& out) {
-    out.bytes_to_worker = counting.bytes_to_worker();
-    out.bytes_to_manager = counting.bytes_to_manager();
-    out.bytes_by_type = counting.bytes_by_type();
-    if (const fault::FaultStats* stats = channel.stats()) out.faults = *stats;
-    session_span.attr("status", session_status_name(out.status));
-    session_span.attr("retries", out.total_retries);
-    session_span.attr("backoff_ticks", out.backoff_ticks);
-    return std::move(out);
-  };
-
-  // --- Manager -> worker: task announcement + global state. ---------------
-  TaskAnnouncement announcement;
-  announcement.nonce = nonce;
-  announcement.hp = hp;
-  announcement.initial_state_hash = hash_state(global_state);
-  announcement.lsh = config.lsh;
-  std::optional<TaskAnnouncement> worker_view;
-  std::optional<TrainState> worker_initial;
-  {
-    obs::Span s("announce", session_span);
-    worker_view = exchange.run(
-        MessageType::kAnnouncement, encode_task_announcement(announcement),
-        /*to_worker=*/true,
-        [](const Bytes& b) { return decode_task_announcement(b); },
-        s.context());
-    if (!worker_view.has_value()) return finish(std::move(outcome));
-
-    // The worker validates the transfer against the announced hash; a
-    // mismatch (in-flight corruption that still decodes) is indistinct from
-    // a decode failure at the protocol level, so it NACKs and the manager
-    // retransmits. Chunked mode applies the same check once the stream
-    // assembles; per-chunk digests catch transport corruption earlier.
-    const auto validate_initial = [&](const TrainState& state) {
-      if (!digest_equal(hash_state(state), worker_view->initial_state_hash)) {
-        throw std::runtime_error("state transfer corrupted");
-      }
-    };
-    if (config.chunk_bytes > 0) {
-      worker_initial = exchange_state_chunked(
-          exchange, MessageType::kGlobalState, global_state,
-          /*to_worker=*/true, config, validate_initial, s.context());
-    } else {
-      worker_initial = exchange.run(
-          MessageType::kGlobalState, encode_train_state(global_state),
-          /*to_worker=*/true, [&](const Bytes& b) {
-            std::size_t offset = 0;
-            TrainState state = decode_train_state(b, offset);
-            if (offset != b.size()) {
-              throw std::invalid_argument("trailing bytes in state");
-            }
-            validate_initial(state);
-            return state;
-          },
+  // Every exchange that exhausts its budget throws ExchangeFailed, from the
+  // verifier's fetches too; the outcome already carries the typed status.
+  try {
+    // --- Manager -> worker: task announcement + global state. ---------------
+    TaskAnnouncement announcement;
+    announcement.nonce = nonce;
+    announcement.hp = hp;
+    announcement.initial_state_hash = hash_state(global_state);
+    announcement.lsh = config.lsh;
+    TaskAnnouncement worker_view;
+    TrainState worker_initial;
+    {
+      obs::Span s("announce", session_span);
+      worker_view = exchange.run(
+          MessageType::kAnnouncement, encode_task_announcement(announcement),
+          /*to_worker=*/true,
+          [](const Bytes& b) { return decode_task_announcement(b); },
           s.context());
-    }
-    if (!worker_initial.has_value()) return finish(std::move(outcome));
-  }
 
-  // --- Worker side: decode, train, commit. --------------------------------
-  StepExecutor worker_executor(factory, worker_view->hp);
-  EpochContext ctx;
-  ctx.nonce = worker_view->nonce;
-  ctx.initial = std::move(*worker_initial);
-  ctx.dataset = &worker_data;
-  sim::DeviceExecution worker_gpu(worker_device, worker_run_seed);
-  EpochTrace trace;
-  Commitment commitment;
-  Bytes commit_wire;
-  std::optional<Commitment> manager_commitment;
-  std::optional<TrainState> manager_update;
-  {
-    // The worker agent's spans hang off the context that arrived with the
-    // announcement, stitching both sides of the wire into one causal tree.
-    obs::Span worker_span("worker_epoch", exchange.last_rx, /*worker=*/0);
-    {
-      obs::Span s("train", worker_span, /*worker=*/0);
-      trace = policy.produce_trace(worker_executor, ctx, worker_gpu);
-      s.attr("storage_bytes", trace.storage_bytes());
-    }
-
-    // Scripted byzantine mutations of what the worker is about to commit.
-    if (byzantine == fault::Byzantine::kStaleCommitmentReplay) {
-      // Replay of a commitment built for an older global state: internally
-      // consistent (hashes match its own checkpoints) but C_0 no longer
-      // matches the state the manager distributed this epoch.
-      for (auto& checkpoint : trace.checkpoints) {
-        perturb_state(checkpoint, 0.5F);
-      }
-    }
-
-    {
-      obs::Span s("commit", worker_span, /*worker=*/0);
-      if (config.scheme == Scheme::kRPoLv2 &&
-          byzantine != fault::Byzantine::kCommitmentDowngrade) {
-        const lsh::PStableLsh hasher(*worker_view->lsh);
-        commitment =
-            commit_v2(trace, hasher, &worker_executor.trainable_mask());
-      } else {
-        commitment = commit_v1(trace);
-      }
-      commit_wire = encode_commitment(commitment);
-      if (byzantine == fault::Byzantine::kOversizedPayload) {
-        commit_wire.assign(
-            static_cast<std::size_t>(
-                config.fault_plan->oversized_payload_bytes),
-            0xEE);
-      }
-    }
-
-    {
-      obs::Span s("submit", worker_span, /*worker=*/0);
-      // A commitment of the other scheme is rejected at decode time: an
-      // RPoLv1 list in an RPoLv2 session has no LSH digests to match.
-      const CommitmentVersion expected_version =
-          config.scheme == Scheme::kRPoLv2 ? CommitmentVersion::kV2
-                                           : CommitmentVersion::kV1;
-      manager_commitment = exchange.run(
-          MessageType::kCommitment, commit_wire, /*to_worker=*/false,
-          [&](const Bytes& b) {
-            Commitment decoded = decode_commitment(b);
-            if (decoded.version != expected_version) {
-              throw std::invalid_argument(
-                  "commitment version does not match the session scheme");
-            }
-            return decoded;
-          },
-          s.context());
-      if (!manager_commitment.has_value()) return finish(std::move(outcome));
-
-      // The model update itself (final weights) travels with the commitment.
-      TrainState update;
-      update.model = trace.checkpoints.back().model;
+      // The worker validates the transfer against the announced hash; a
+      // mismatch (in-flight corruption that still decodes) is indistinct from
+      // a decode failure at the protocol level, so it NACKs and the manager
+      // retransmits. Chunked mode applies the same check once the stream
+      // assembles; per-chunk digests catch transport corruption earlier.
+      const auto validate_initial = [&](const TrainState& state) {
+        if (!digest_equal(hash_state(state), worker_view.initial_state_hash)) {
+          throw std::runtime_error("state transfer corrupted");
+        }
+      };
       if (config.chunk_bytes > 0) {
-        manager_update = exchange_state_chunked(
-            exchange, MessageType::kUpdate, update, /*to_worker=*/false,
-            config, /*validate=*/nullptr, s.context());
+        worker_initial = exchange_state_chunked(
+            exchange, MessageType::kGlobalState, global_state,
+            /*to_worker=*/true, config, validate_initial, s.context());
       } else {
-        manager_update = exchange.run(
-            MessageType::kUpdate, encode_train_state(update),
-            /*to_worker=*/false,
-            [](const Bytes& b) {
+        worker_initial = exchange.run(
+            MessageType::kGlobalState, encode_train_state(global_state),
+            /*to_worker=*/true, [&](const Bytes& b) {
               std::size_t offset = 0;
               TrainState state = decode_train_state(b, offset);
               if (offset != b.size()) {
-                throw std::invalid_argument("trailing bytes in update");
+                throw std::invalid_argument("trailing bytes in state");
               }
+              validate_initial(state);
               return state;
             },
             s.context());
       }
-      if (!manager_update.has_value()) return finish(std::move(outcome));
     }
-  }
 
-  // Worker-side proof store: what proof responses are served from. A forger
-  // keeps an honest commitment but answers requests with doctored states.
-  const auto serve_checkpoint = [&](std::int64_t j) {
-    TrainState state = trace.checkpoints[static_cast<std::size_t>(j)];
-    if (byzantine == fault::Byzantine::kForgedCheckpointState) {
-      perturb_state(state, 1.0e-2F);
-    }
-    return state;
-  };
-  const bool withholds_proofs =
-      byzantine == fault::Byzantine::kProofWithholding;
-
-  // --- Manager: sample post-commitment, request proofs. -------------------
-  ProofRequest request;
-  request.transitions =
-      sample_transitions(config.sampling_seed, manager_commitment->root,
-                         trace.num_transitions(), config.samples_q);
-  std::optional<ProofResponse> manager_response;
-  {
-    obs::Span s("proof_exchange", session_span);
-    const auto worker_request = exchange.run(
-        MessageType::kProofRequest, encode_proof_request(request),
-        /*to_worker=*/true,
-        [&](const Bytes& b) {
-          ProofRequest decoded = decode_proof_request(b);
-          for (const auto j : decoded.transitions) {
-            if (j < 0 || j >= trace.num_transitions()) {
-              throw std::runtime_error("proof request out of range");
-            }
-          }
-          return decoded;
-        },
-        s.context());
-    if (!worker_request.has_value()) return finish(std::move(outcome));
-
-    // --- Worker: answer the proof request (or withhold it). ---------------
-    obs::Span serve_span("serve_proof", exchange.last_rx, /*worker=*/0);
-    ProofResponse response;
-    for (const auto j : worker_request->transitions) {
-      response.input_states.push_back(serve_checkpoint(j));
-      if (config.scheme == Scheme::kRPoLv1) {
-        response.output_states.push_back(serve_checkpoint(j + 1));
-      }
-    }
-    // The manager validates received proof states against the commitment at
-    // decode time: transport corruption of a proof is indistinguishable from
-    // any other mangled payload, so it NACKs and refetches instead of
-    // blaming the worker. A peer that persistently serves states that do
-    // not hash to its own commitment (forgery) exhausts the budget and is
-    // rejected with kDecodeRejected.
-    manager_response = exchange.run(
-        MessageType::kProofResponse, encode_proof_response(response),
-        /*to_worker=*/false,
-        [&](const Bytes& b) {
-          ProofResponse decoded = decode_proof_response(b);
-          const bool wants_outputs = config.scheme == Scheme::kRPoLv1;
-          if (decoded.input_states.size() != request.transitions.size() ||
-              decoded.output_states.size() !=
-                  (wants_outputs ? request.transitions.size() : 0u)) {
-            throw std::invalid_argument("proof response shape mismatch");
-          }
-          for (std::size_t s = 0; s < request.transitions.size(); ++s) {
-            const auto j = static_cast<std::size_t>(request.transitions[s]);
-            if (j + 1 >= manager_commitment->state_hashes.size()) {
-              throw std::out_of_range("proof transition beyond commitment");
-            }
-            if (!digest_equal(hash_state(decoded.input_states[s]),
-                              manager_commitment->state_hashes[j]) ||
-                (wants_outputs &&
-                 !digest_equal(hash_state(decoded.output_states[s]),
-                               manager_commitment->state_hashes[j + 1]))) {
-              throw std::runtime_error("proof state does not match commitment");
-            }
-          }
-          return decoded;
-        },
-        serve_span.context(), withholds_proofs);
-    if (!manager_response.has_value()) return finish(std::move(outcome));
-  }
-
-  // --- Manager: re-execute and decide. -------------------------------------
-  obs::Span verify_span("verify", session_span, /*worker=*/0);
-  StepExecutor manager_executor(factory, hp);
-  const std::vector<bool>& mask = manager_executor.trainable_mask();
-  std::optional<lsh::PStableLsh> manager_hasher;
-  if (config.scheme == Scheme::kRPoLv2) manager_hasher.emplace(*config.lsh);
-  const DeterministicSelector selector(nonce);
-  sim::DeviceExecution manager_gpu(manager_device, manager_run_seed);
-
-  bool all_passed =
-      digest_equal(manager_commitment->state_hashes.front(),
-                   announcement.initial_state_hash) &&
-      manager_response->input_states.size() == request.transitions.size() &&
-      (config.scheme != Scheme::kRPoLv1 ||
-       manager_response->output_states.size() == request.transitions.size());
-  for (std::size_t s = 0; all_passed && s < request.transitions.size(); ++s) {
-    const std::int64_t j = request.transitions[s];
-    // Every state in manager_response already hash-matched the commitment in
-    // the decode validator above (mismatches NACK and exhaust the retry
-    // budget before reaching this loop), so the states are bound without
-    // re-hashing multi-megabyte checkpoints here.
-    const TrainState& proof_in = manager_response->input_states[s];
-    // Re-execute. The checkpoint boundaries are reconstructable from hp.
-    const std::int64_t first = j * hp.checkpoint_interval;
-    const std::int64_t count =
-        std::min(hp.checkpoint_interval, hp.steps_per_epoch - first);
+    // --- Worker side: decode, train, commit. --------------------------------
+    StepExecutor worker_executor(factory, worker_view.hp);
+    EpochContext ctx;
+    ctx.nonce = worker_view.nonce;
+    ctx.initial = std::move(worker_initial);
+    ctx.dataset = &worker_data;
+    sim::DeviceExecution worker_gpu(worker_device, worker_run_seed);
+    EpochTrace trace;
+    Commitment commitment;
+    Bytes commit_wire;
+    Commitment manager_commitment;
+    TrainState manager_update;
     {
-      obs::Span reexec("reexecute", verify_span, /*worker=*/0);
-      reexec.attr("transition", j);
-      reexec.attr("steps", count);
-      manager_executor.load_state(proof_in);
-      manager_executor.run_steps(first, count, worker_data, selector,
-                                 &manager_gpu);
-    }
-    const TrainState replay = manager_executor.save_state();
+      // The worker agent's spans hang off the context that arrived with the
+      // announcement, stitching both sides of the wire into one causal tree.
+      obs::Span worker_span("worker_epoch", exchange.last_rx, /*worker=*/0);
+      {
+        obs::Span s("train", worker_span, /*worker=*/0);
+        trace = policy.produce_trace(worker_executor, ctx, worker_gpu);
+        s.attr("storage_bytes", trace.storage_bytes());
+      }
 
-    if (config.scheme == Scheme::kRPoLv1) {
-      const TrainState& claimed = manager_response->output_states[s];
-      all_passed =
-          trainable_distance(replay.model, claimed.model, mask) <= config.beta;
-    } else {
-      const lsh::LshDigest replay_digest =
-          manager_hasher->hash(extract_trainable(replay.model, mask));
-      if (!lsh::lsh_match(replay_digest,
-                          manager_commitment
-                              ->lsh_digests[static_cast<std::size_t>(j + 1)])) {
-        // Double-check round trip: one more request/response pair, under
-        // the same retry machinery as every other exchange.
-        ++outcome.double_checks;
-        obs::count("verify.lsh_mismatch", 1);
-        obs::count("verify.double_check", 1);
-        ProofRequest dc_request;
-        dc_request.transitions = {j};  // re-request: raw output this time
-        const auto dc_seen = exchange.run(
-            MessageType::kProofRequest, encode_proof_request(dc_request),
-            /*to_worker=*/true,
-            [](const Bytes& b) { return decode_proof_request(b); },
-            verify_span.context());
-        if (!dc_seen.has_value()) return finish(std::move(outcome));
-        std::optional<ProofResponse> dc_decoded;
-        {
-          obs::Span dc_serve("serve_proof", exchange.last_rx, /*worker=*/0);
-          ProofResponse dc_response;
-          dc_response.output_states.push_back(serve_checkpoint(j + 1));
-          dc_decoded = exchange.run(
-              MessageType::kProofResponse, encode_proof_response(dc_response),
-              /*to_worker=*/false,
-              [&](const Bytes& b) {
-                ProofResponse decoded = decode_proof_response(b);
-                if (decoded.output_states.size() != 1) {
-                  throw std::invalid_argument("double-check shape mismatch");
-                }
-                if (!digest_equal(hash_state(decoded.output_states.front()),
-                                  manager_commitment->state_hashes
-                                      [static_cast<std::size_t>(j + 1)])) {
-                  throw std::runtime_error(
-                      "proof state does not match commitment");
-                }
-                return decoded;
-              },
-              dc_serve.context(), withholds_proofs);
+      // Scripted byzantine mutations of what the worker is about to commit.
+      if (byzantine == fault::Byzantine::kStaleCommitmentReplay) {
+        // Replay of a commitment built for an older global state: internally
+        // consistent (hashes match its own checkpoints) but C_0 no longer
+        // matches the state the manager distributed this epoch.
+        for (auto& checkpoint : trace.checkpoints) {
+          perturb_state(checkpoint, 0.5F);
         }
-        if (!dc_decoded.has_value()) return finish(std::move(outcome));
-        const TrainState& claimed = dc_decoded->output_states.front();
-        all_passed = trainable_distance(replay.model, claimed.model, mask) <=
-                     config.beta;
+      }
+
+      {
+        obs::Span s("commit", worker_span, /*worker=*/0);
+        if (config.scheme == Scheme::kRPoLv2 &&
+            byzantine != fault::Byzantine::kCommitmentDowngrade) {
+          const lsh::PStableLsh hasher(*worker_view.lsh);
+          commitment =
+              commit_v2(trace, hasher, &worker_executor.trainable_mask());
+        } else {
+          commitment = commit_v1(trace);
+        }
+        commit_wire = encode_commitment(commitment);
+        if (byzantine == fault::Byzantine::kOversizedPayload) {
+          commit_wire.assign(
+              static_cast<std::size_t>(
+                  config.fault_plan->oversized_payload_bytes),
+              0xEE);
+        }
+      }
+
+      {
+        obs::Span s("submit", worker_span, /*worker=*/0);
+        // A commitment of the other scheme is rejected at decode time: an
+        // RPoLv1 list in an RPoLv2 session has no LSH digests to match.
+        const CommitmentVersion expected_version =
+            config.scheme == Scheme::kRPoLv2 ? CommitmentVersion::kV2
+                                             : CommitmentVersion::kV1;
+        manager_commitment = exchange.run(
+            MessageType::kCommitment, commit_wire, /*to_worker=*/false,
+            [&](const Bytes& b) {
+              Commitment decoded = decode_commitment(b);
+              if (decoded.version != expected_version) {
+                throw std::invalid_argument(
+                    "commitment version does not match the session scheme");
+              }
+              return decoded;
+            },
+            s.context());
+
+        // The model update itself (final weights) travels with the commitment.
+        TrainState update;
+        update.model = trace.checkpoints.back().model;
+        if (config.chunk_bytes > 0) {
+          manager_update = exchange_state_chunked(
+              exchange, MessageType::kUpdate, update, /*to_worker=*/false,
+              config, /*validate=*/nullptr, s.context());
+        } else {
+          manager_update = exchange.run(
+              MessageType::kUpdate, encode_train_state(update),
+              /*to_worker=*/false,
+              [](const Bytes& b) {
+                std::size_t offset = 0;
+                TrainState state = decode_train_state(b, offset);
+                if (offset != b.size()) {
+                  throw std::invalid_argument("trailing bytes in update");
+                }
+                return state;
+              },
+              s.context());
+        }
       }
     }
+
+    // Worker-side proof store: what proof responses are served from. A forger
+    // keeps an honest commitment but answers requests with doctored states.
+    const auto serve_checkpoint = [&](std::int64_t j) {
+      TrainState state = trace.checkpoints[static_cast<std::size_t>(j)];
+      if (byzantine == fault::Byzantine::kForgedCheckpointState) {
+        perturb_state(state, 1.0e-2F);
+      }
+      return state;
+    };
+
+    // One ProofRequest/ProofResponse pair: the worker serves C_j (`inputs`)
+    // and C_{j+1} (`outputs`) for each requested j. The manager validates the
+    // states against the commitment at decode time: transport corruption of a
+    // proof is indistinguishable from any other mangled payload, so it NACKs
+    // and refetches instead of blaming the worker. A peer that persistently
+    // serves states that do not hash to its own commitment (forgery)
+    // exhausts the budget and is rejected with kDecodeRejected.
+    const auto& hashes = manager_commitment.state_hashes;
+    const auto exchange_proofs = [&](const std::vector<std::int64_t>& requested,
+                                     bool inputs, bool outputs,
+                                     const obs::TraceContext& sender) {
+      const ProofRequest worker_request = exchange.run(
+          MessageType::kProofRequest, encode_proof_request({requested}),
+          /*to_worker=*/true,
+          [&](const Bytes& b) {
+            ProofRequest decoded = decode_proof_request(b);
+            for (const auto j : decoded.transitions) {
+              if (j < 0 || j >= trace.num_transitions()) {
+                throw std::runtime_error("proof request out of range");
+              }
+            }
+            return decoded;
+          },
+          sender);
+
+      obs::Span serve_span("serve_proof", exchange.last_rx, /*worker=*/0);
+      ProofResponse response;
+      for (const auto j : worker_request.transitions) {
+        if (inputs) response.input_states.push_back(serve_checkpoint(j));
+        if (outputs) response.output_states.push_back(serve_checkpoint(j + 1));
+      }
+      const std::size_t n = requested.size();
+      return exchange.run(
+          MessageType::kProofResponse, encode_proof_response(response),
+          /*to_worker=*/false,
+          [&](const Bytes& b) {
+            ProofResponse decoded = decode_proof_response(b);
+            if (decoded.input_states.size() != (inputs ? n : 0u) ||
+                decoded.output_states.size() != (outputs ? n : 0u)) {
+              throw std::invalid_argument("proof response shape mismatch");
+            }
+            for (std::size_t s = 0; s < n; ++s) {
+              const auto j = static_cast<std::size_t>(requested[s]);
+              if (j + 1 >= hashes.size()) {
+                throw std::out_of_range("proof transition beyond commitment");
+              }
+              const bool in_ok =
+                  !inputs || digest_equal(hash_state(decoded.input_states[s]),
+                                          hashes[j]);
+              const bool out_ok =
+                  !outputs || digest_equal(hash_state(decoded.output_states[s]),
+                                           hashes[j + 1]);
+              if (!in_ok || !out_ok) {
+                throw std::runtime_error(
+                    "proof state does not match commitment");
+              }
+            }
+            return decoded;
+          },
+          serve_span.context(),
+          /*withheld=*/byzantine == fault::Byzantine::kProofWithholding);
+    };
+
+    // --- Manager: sample post-commitment, request proofs. -------------------
+    // Samples are drawn over the commitment, as Verifier::verify draws them
+    // below; it rejects a commitment of the wrong shape unsampled, so no
+    // proofs are requested for one.
+    const std::vector<std::int64_t> step_of = hp.checkpoint_boundaries();
+    const auto committed = static_cast<std::int64_t>(hashes.size());
+    std::vector<std::int64_t> samples;
+    ProofResponse proofs;
+    if (well_formed_epoch(hp, committed, committed, step_of)) {
+      samples =
+          sample_transitions(config.sampling_seed, manager_commitment.root,
+                             committed - 1, config.samples_q);
+      obs::Span s("proof_exchange", session_span);
+      proofs = exchange_proofs(samples, /*inputs=*/true,
+                               config.scheme == Scheme::kRPoLv1, s.context());
+    }
+
+    // --- Manager: re-execute and decide, as the pool does. -------------------
+    obs::Span verify_span("verify", session_span, /*worker=*/0);
+    const bool v2 = config.scheme == Scheme::kRPoLv2;
+    Verifier verifier(
+        factory, hp, {config.samples_q, config.beta, v2, config.sampling_seed});
+    if (v2) {
+      verifier.set_lsh_family(
+          std::make_shared<const lsh::PStableLsh>(*config.lsh));
+    }
+    sim::DeviceExecution manager_gpu(manager_device, manager_run_seed);
+    // An RPoLv2 double-check re-requests one transition's raw output.
+    const auto double_check = [&](std::int64_t j) {
+      return exchange_proofs({j}, /*inputs=*/false, /*outputs=*/true,
+                             verify_span.context());
+    };
+    const WireProofSource source(committed, samples, proofs, double_check);
+    outcome.verdict = verifier.verify(
+        manager_commitment, source, step_of,
+        EpochContext{.nonce = nonce, .initial = {}, .dataset = &worker_data},
+        announcement.initial_state_hash, manager_gpu, verify_span.context());
+
+    outcome.accepted = outcome.verdict.accepted;
+    outcome.status = outcome.accepted ? SessionStatus::kAccepted
+                                      : SessionStatus::kVerdictRejected;
+    outcome.final_model = manager_update.model;
+    verify_span.attr("accepted", outcome.accepted);
+    verify_span.attr("double_checks", outcome.verdict.double_checks);
+  } catch (const ExchangeFailed&) {
+    // The failed exchange already set the typed status; nothing to undo.
   }
 
-  outcome.accepted = all_passed;
-  outcome.status =
-      all_passed ? SessionStatus::kAccepted : SessionStatus::kVerdictRejected;
-  outcome.final_model = manager_update->model;
-  verify_span.attr("accepted", outcome.accepted);
-  verify_span.attr("double_checks", outcome.double_checks);
-  obs::count(all_passed ? "verify.accept" : "verify.reject", 1);
-  return finish(std::move(outcome));
+  // Transport accounting on every exit, so the typed bytes always sum to
+  // the direction totals.
+  outcome.bytes_to_worker = counting.bytes_to_worker();
+  outcome.bytes_to_manager = counting.bytes_to_manager();
+  outcome.bytes_by_type = counting.bytes_by_type();
+  if (const fault::FaultStats* stats = channel.stats()) outcome.faults = *stats;
+  session_span.attr("status", session_status_name(outcome.status));
+  session_span.attr("retries", outcome.total_retries);
+  session_span.attr("backoff_ticks", outcome.backoff_ticks);
+  return outcome;
 }
 
 }  // namespace rpol::core

@@ -12,7 +12,7 @@
 //   W -> M : CommitmentMessage           (after local training)
 //   M -> W : ProofRequest                (post-commitment samples)
 //   W -> M : ProofResponse               (requested checkpoint states)
-//   M      : re-execution & decision
+//   M      : re-execution & decision     (core/verifier.h, as in the pool)
 //
 // Tests use it to assert that the analytic cost model's message structure
 // matches what the protocol actually sends, and that a malicious worker
@@ -31,6 +31,7 @@
 #include <array>
 
 #include "core/pool.h"
+#include "core/verifier.h"
 #include "core/wire.h"
 #include "fault/fault.h"
 #include "obs/obs.h"
@@ -64,11 +65,6 @@ class CountingChannel {
 
   std::uint64_t bytes_to_worker() const { return to_worker_; }
   std::uint64_t bytes_to_manager() const { return to_manager_; }
-  std::uint64_t total_bytes() const { return to_worker_ + to_manager_; }
-
-  std::uint64_t bytes_for(MessageType type) const {
-    return by_type_[static_cast<std::size_t>(type)];
-  }
   const std::array<std::uint64_t, kNumMessageTypes>& bytes_by_type() const {
     return by_type_;
   }
@@ -124,7 +120,9 @@ struct SessionOutcome {
   // bytes_to_worker + bytes_to_manager (retransmissions and duplicates
   // included, counted under their type).
   std::array<std::uint64_t, kNumMessageTypes> bytes_by_type{};
-  std::int64_t double_checks = 0;
+  // The manager's Verifier::verify result over the wire-delivered proofs.
+  // Stays empty when the session failed before a verdict was reached.
+  VerifyResult verdict;
   // Retry/backoff accounting (all zero on a lossless run).
   std::array<std::uint64_t, kNumMessageTypes> retries_by_type{};
   std::int64_t total_retries = 0;
@@ -133,7 +131,9 @@ struct SessionOutcome {
 };
 
 // Runs the complete epoch exchange. The worker side is driven by `policy`
-// on `worker_device`; the manager re-executes on `manager_device`.
+// on `worker_device`; the manager decides through the same Verifier the
+// pool uses, re-executing on `manager_device`. An RPoLv2 double-check is one
+// more ProofRequest/ProofResponse round trip under the retry machinery.
 SessionOutcome run_protocol_session(
     const nn::ModelFactory& factory, const Hyperparams& hp,
     const SessionConfig& config, const TrainState& global_state,

@@ -151,9 +151,9 @@ VerifyResult Verifier::verify_compact(const CompactCommitment& compact,
                                       const Digest& expected_initial_hash,
                                       sim::DeviceExecution& device,
                                       const obs::TraceContext& trace_parent) {
-  if (!well_formed(compact.version, compact.num_checkpoints, source,
-                   step_of) ||
-      compact.version != full.version) {
+  if (!well_formed_epoch(hp_, compact.num_checkpoints,
+                         source.num_checkpoints(), step_of) ||
+      !scheme_matches(compact.version) || compact.version != full.version) {
     return reject({}, VerifyFailure::kMalformed);
   }
 
@@ -213,9 +213,10 @@ VerifyResult Verifier::verify(const Commitment& commitment,
                               const Digest& expected_initial_hash,
                               sim::DeviceExecution& device,
                               const obs::TraceContext& trace_parent) {
-  if (!well_formed(commitment.version,
-                   static_cast<std::int64_t>(commitment.state_hashes.size()),
-                   source, step_of) ||
+  if (!well_formed_epoch(
+          hp_, static_cast<std::int64_t>(commitment.state_hashes.size()),
+          source.num_checkpoints(), step_of) ||
+      !scheme_matches(commitment.version) ||
       !commitment_consistent(commitment)) {
     return reject({}, VerifyFailure::kMalformed);
   }
@@ -241,18 +242,14 @@ VerifyResult Verifier::verify(const Commitment& commitment,
       from_lists, source, step_of, context, device, trace_parent);
 }
 
-bool Verifier::well_formed(CommitmentVersion version,
-                           std::int64_t committed_checkpoints,
-                           const CheckpointSource& source,
-                           const std::vector<std::int64_t>& step_of) const {
-  // The step boundaries are derived from the agreed hyper-parameters, never
-  // trusted from the prover: malformed step_of vectors (zero-length
-  // intervals, wrong counts) are rejected outright. So is a commitment of
-  // the other scheme, whose digest lists the sampled checks cannot index.
-  return source.num_checkpoints() > 1 &&
-         committed_checkpoints == source.num_checkpoints() &&
-         step_of == hp_.checkpoint_boundaries() &&
-         (version == CommitmentVersion::kV2) == config_.use_lsh;
+bool well_formed_epoch(const Hyperparams& hp,
+                       std::int64_t committed_checkpoints,
+                       std::int64_t held_checkpoints,
+                       const std::vector<std::int64_t>& step_of) {
+  return held_checkpoints > 1 &&
+         held_checkpoints == static_cast<std::int64_t>(step_of.size()) &&
+         committed_checkpoints == held_checkpoints &&
+         step_of == hp.checkpoint_boundaries();
 }
 
 VerifyResult Verifier::check_transitions(
@@ -310,7 +307,7 @@ VerifyResult Verifier::check_transitions(
     }
     // RPoLv1 and the double-check: only now is the raw output state pulled
     // in, hash-checked and distance-tested.
-    const TrainState claimed = source.fetch(j + 1);
+    const TrainState claimed = source.fetch_output(j);
     result.proof_bytes += claimed.byte_size();
     check.hash_ok = digest_equal(hash_state(claimed), bound.out_hash);
     if (!check.hash_ok) return;

@@ -82,6 +82,15 @@ std::vector<std::int64_t> sample_transitions(std::uint64_t seed,
 // Digest binding a compact commitment for post-commitment sampling.
 Digest compact_commitment_binding(const CompactCommitment& compact);
 
+// The shape preamble every verifier of an epoch runs before sampling; the
+// task fixes the shape, not the prover: `step_of` equals the agreed
+// boundaries, one held checkpoint per boundary (so at least one transition)
+// and one committed digest per held checkpoint.
+bool well_formed_epoch(const Hyperparams& hp,
+                       std::int64_t committed_checkpoints,
+                       std::int64_t held_checkpoints,
+                       const std::vector<std::int64_t>& step_of);
+
 class Verifier {
  public:
   // `factory`/`hp` must match the task distributed to workers; `device` is
@@ -169,11 +178,11 @@ class Verifier {
 
   const lsh::PStableLsh& hasher() const;
 
-  // The preamble both commitment forms share; false means kMalformed.
-  bool well_formed(CommitmentVersion version,
-                   std::int64_t committed_checkpoints,
-                   const CheckpointSource& source,
-                   const std::vector<std::int64_t>& step_of) const;
+  // A commitment of the other scheme has digest lists the sampled checks
+  // cannot index: malformed, like an epoch failing well_formed_epoch.
+  bool scheme_matches(CommitmentVersion version) const {
+    return (version == CommitmentVersion::kV2) == config_.use_lsh;
+  }
 
   // The one sampled-check loop: binds each sampled transition through
   // `bind`, re-executes it and decides it, then records the verdict.

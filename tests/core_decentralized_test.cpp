@@ -197,5 +197,25 @@ TEST_F(DecentralizedFixture, MalformedCommitmentRejected) {
   EXPECT_TRUE(result.votes.empty());
 }
 
+TEST_F(DecentralizedFixture, EpochOfTheWrongLengthRejected) {
+  // The committee shares the verifier's shape preamble: a truncated or a
+  // padded epoch is rejected before any sample is assigned.
+  rpol::testing::TruncatedEpochPolicy truncated;
+  rpol::testing::PaddedEpochPolicy padded;
+  DecentralizedVerifier verifier(task.factory, task.hp, config());
+  for (WorkerPolicy* policy :
+       std::initializer_list<WorkerPolicy*>{&truncated, &padded}) {
+    SCOPED_TRACE(policy->name());
+    StepExecutor executor(task.factory, task.hp);
+    sim::DeviceExecution device(sim::device_ga10(), 6);
+    const EpochTrace trace = policy->produce_trace(executor, context, device);
+    const auto result =
+        verifier.verify(commit_v1(trace), trace, context,
+                        hash_state(context.initial), verifier_pool(0, 0));
+    EXPECT_FALSE(result.accepted);
+    EXPECT_TRUE(result.votes.empty());
+  }
+}
+
 }  // namespace
 }  // namespace rpol::core

@@ -429,6 +429,82 @@ TEST_F(VerifierFixture, CommitmentOfTheOtherSchemeIsMalformed) {
   }
 }
 
+TEST_F(VerifierFixture, EpochOfTheWrongLengthIsMalformed) {
+  // The task fixes the number of checkpoints: one per step boundary. A
+  // worker that trains one transition and commits the two checkpoints it
+  // holds, or pads an honest trace with copies of its last checkpoint,
+  // still claims the agreed boundaries; both are rejected unsampled on
+  // every entry point.
+  rpol::testing::TruncatedEpochPolicy truncated;
+  rpol::testing::PaddedEpochPolicy padded;
+  for (WorkerPolicy* policy :
+       std::initializer_list<WorkerPolicy*>{&truncated, &padded}) {
+    SCOPED_TRACE(policy->name());
+    StepExecutor exec(task.factory, task.hp);
+    sim::DeviceExecution device(sim::device_ga10(), 6);
+    const EpochTrace trace = policy->produce_trace(exec, context, device);
+    ASSERT_EQ(trace.step_of, task.hp.checkpoint_boundaries());
+    for (const bool use_lsh : {false, true}) {
+      Verifier verifier(task.factory, task.hp, base_config(use_lsh));
+      verifier.set_lsh_family(
+          std::make_shared<const lsh::PStableLsh>(lsh_config()));
+      const Commitment commitment =
+          use_lsh ? commit_v2(trace, worker_hasher()) : commit_v1(trace);
+      for (const VerifyResult& r :
+           verify_every_entry_point(verifier, commitment, trace, context)) {
+        EXPECT_FALSE(r.accepted);
+        EXPECT_EQ(r.failure, VerifyFailure::kMalformed)
+            << verify_failure_name(r.failure);
+        EXPECT_EQ(r.reexecuted_steps, 0);
+        EXPECT_TRUE(r.checks.empty());
+      }
+    }
+  }
+}
+
+TEST_F(ProtocolFixture, PoolNeverAcceptsAnEpochOfTheWrongLength) {
+  // The same shape rule guards the pool, in memory and streaming: the
+  // truncated and padded workers are rejected every epoch, and their
+  // updates never reach the global model.
+  const data::TrainTestSplit split =
+      data::train_test_split(task.dataset, 0.25, 17);
+  for (const Scheme scheme : {Scheme::kRPoLv1, Scheme::kRPoLv2}) {
+    for (const bool streaming : {false, true}) {
+      SCOPED_TRACE(scheme_name(scheme) + (streaming ? " streaming" : ""));
+      PoolConfig cfg;
+      cfg.scheme = scheme;
+      cfg.hp = task.hp;
+      cfg.epochs = 2;
+      cfg.samples_q = 3;
+      cfg.seed = 71;
+      cfg.streaming = streaming;
+      std::vector<WorkerSpec> specs;
+      const auto devices = sim::all_devices();
+      for (std::size_t w = 0; w < 3; ++w) {
+        WorkerSpec spec;
+        if (w == 0) spec.policy = std::make_unique<HonestPolicy>();
+        if (w == 1) {
+          spec.policy = std::make_unique<rpol::testing::TruncatedEpochPolicy>();
+        }
+        if (w == 2) {
+          spec.policy = std::make_unique<rpol::testing::PaddedEpochPolicy>();
+        }
+        spec.device = devices[w % devices.size()];
+        specs.push_back(std::move(spec));
+      }
+      MiningPool pool(cfg, task.factory, task.dataset, split.test,
+                      std::move(specs));
+      const PoolRunReport report = pool.run();
+      ASSERT_EQ(report.epochs.size(), 2u);
+      for (const EpochReport& epoch : report.epochs) {
+        EXPECT_TRUE(epoch.accepted[0]);
+        EXPECT_FALSE(epoch.accepted[1]);
+        EXPECT_FALSE(epoch.accepted[2]);
+      }
+    }
+  }
+}
+
 TEST_F(VerifierFixture, DoubleCheckOfAForgedOutputIsAHashMismatch) {
   // The verifier holds a different LSH family than the worker hashed with,
   // so every check misses and double-checks. The worker serves a C_{j+1}

@@ -6,11 +6,13 @@
 
 #include "core/session.h"
 #include "task_fixture.h"
+#include "verdict_digest.h"
 
 namespace rpol::core {
 namespace {
 
 using rpol::testing::TinyTask;
+using rpol::testing::verdict_digest;
 
 struct SessionFixture : public ::testing::Test {
   void SetUp() override {
@@ -95,7 +97,7 @@ TEST_F(SessionFixture, TrafficStructureMatchesCostModel) {
   // RPoLv2 uplink when no double-check fires: update + commitment(+LSH) +
   // q * input states.
   const SessionOutcome v2 = run(Scheme::kRPoLv2, honest);
-  if (v2.double_checks == 0) {
+  if (v2.verdict.double_checks == 0) {
     EXPECT_LT(v2.bytes_to_manager, 5 * state_bytes);
   }
 }
@@ -154,18 +156,85 @@ TEST_F(SessionFixture, BaselineSchemeRejected) {
 }
 
 TEST_F(SessionFixture, AgreesWithInProcessVerifier) {
-  // The wire path and the in-process Verifier must reach the same verdicts.
+  // The wire path decides through the in-process Verifier: its verdict is
+  // field for field the one Verifier::verify reaches over the same
+  // commitment, trace, nonce, dataset and manager device seed.
   for (const Scheme scheme : {Scheme::kRPoLv1, Scheme::kRPoLv2}) {
     for (const bool honest : {true, false}) {
-      std::unique_ptr<WorkerPolicy> policy;
-      if (honest) {
-        policy = std::make_unique<HonestPolicy>();
-      } else {
-        policy = std::make_unique<SpoofPolicy>(0.1, 0.5);
+      SCOPED_TRACE(scheme_name(scheme) + (honest ? " honest" : " spoof"));
+      const auto make_policy = [&]() -> std::unique_ptr<WorkerPolicy> {
+        if (honest) return std::make_unique<HonestPolicy>();
+        return std::make_unique<SpoofPolicy>(0.1, 0.5);
+      };
+      const SessionConfig cfg = config(scheme);
+      const SessionOutcome wire_outcome = run(scheme, *make_policy());
+      EXPECT_EQ(wire_outcome.accepted, honest);
+
+      // The worker's epoch, replayed in process.
+      StepExecutor worker(task.factory, task.hp);
+      EpochContext ctx;
+      ctx.nonce = 505;
+      ctx.initial = global;
+      ctx.dataset = &view;
+      sim::DeviceExecution worker_gpu(sim::device_ga10(), 3);
+      const EpochTrace trace =
+          make_policy()->produce_trace(worker, ctx, worker_gpu);
+
+      VerifierConfig vcfg;
+      vcfg.samples_q = cfg.samples_q;
+      vcfg.beta = cfg.beta;
+      vcfg.use_lsh = scheme == Scheme::kRPoLv2;
+      vcfg.sampling_seed = cfg.sampling_seed;
+      Verifier verifier(task.factory, task.hp, vcfg);
+      Commitment commitment = commit_v1(trace);
+      if (vcfg.use_lsh) {
+        const auto family = std::make_shared<const lsh::PStableLsh>(*cfg.lsh);
+        verifier.set_lsh_family(family);
+        commitment = commit_v2(trace, *family, &worker.trainable_mask());
       }
-      const SessionOutcome wire_outcome = run(scheme, *policy);
-      EXPECT_EQ(wire_outcome.accepted, honest)
-          << scheme_name(scheme) << " honest=" << honest;
+      sim::DeviceExecution manager_gpu(sim::device_g3090(), 4);
+      const VerifyResult in_process = verifier.verify(
+          commitment, trace, ctx, hash_state(global), manager_gpu);
+      EXPECT_EQ(in_process.accepted, honest);
+      EXPECT_EQ(verdict_digest(wire_outcome.verdict),
+                verdict_digest(in_process));
+    }
+  }
+}
+
+TEST_F(SessionFixture, RejectedSessionChecksEverySample) {
+  // Like the pool's verifier, the session does not stop at the first
+  // failed sample: a spoofer's verdict carries all q checks.
+  for (const Scheme scheme : {Scheme::kRPoLv1, Scheme::kRPoLv2}) {
+    SpoofPolicy spoof(0.1, 0.5);
+    const SessionOutcome outcome = run(scheme, spoof);
+    EXPECT_FALSE(outcome.accepted) << scheme_name(scheme);
+    EXPECT_EQ(outcome.verdict.checks.size(),
+              static_cast<std::size_t>(config(scheme).samples_q))
+        << scheme_name(scheme);
+  }
+}
+
+TEST_F(SessionFixture, EpochOfTheWrongLengthRejected) {
+  // A truncated or padded commitment fails the verifier's shape preamble:
+  // rejected unsampled, with no proofs requested and nothing thrown.
+  for (const Scheme scheme : {Scheme::kRPoLv1, Scheme::kRPoLv2}) {
+    rpol::testing::TruncatedEpochPolicy truncated;
+    rpol::testing::PaddedEpochPolicy padded;
+    for (WorkerPolicy* policy :
+         std::initializer_list<WorkerPolicy*>{&truncated, &padded}) {
+      SCOPED_TRACE(scheme_name(scheme) + " " + policy->name());
+      SessionOutcome outcome;
+      ASSERT_NO_THROW(outcome = run(scheme, *policy));
+      EXPECT_FALSE(outcome.accepted);
+      EXPECT_EQ(outcome.status, SessionStatus::kVerdictRejected);
+      EXPECT_EQ(outcome.verdict.failure, VerifyFailure::kMalformed)
+          << verify_failure_name(outcome.verdict.failure);
+      EXPECT_EQ(outcome.verdict.reexecuted_steps, 0);
+      for (const MessageType type :
+           {MessageType::kProofRequest, MessageType::kProofResponse}) {
+        EXPECT_EQ(outcome.bytes_by_type[static_cast<std::size_t>(type)], 0u);
+      }
     }
   }
 }

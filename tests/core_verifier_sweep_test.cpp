@@ -8,15 +8,15 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
-
 #include "core/verifier.h"
 #include "task_fixture.h"
+#include "verdict_digest.h"
 
 namespace rpol::core {
 namespace {
 
 using rpol::testing::TinyTask;
+using rpol::testing::verdict_digest;
 
 enum class Path { kFull, kCompact };
 
@@ -35,28 +35,6 @@ std::string case_name(const ::testing::TestParamInfo<SweepCase>& info) {
   return nn::optimizer_kind_name(info.param.optimizer) + "_" +
          scheme_name(info.param.scheme) + "_" +
          (info.param.path == Path::kFull ? "full" : "compact");
-}
-
-// SHA-256 over a canonical encoding of every VerifyResult field, so a
-// pinned value catches any change to a verdict, its counters or its checks.
-std::string verdict_digest(const VerifyResult& r) {
-  Bytes b;
-  b.push_back(r.accepted ? 1 : 0);
-  append_i64(b, static_cast<std::int64_t>(r.failure));
-  append_u64(b, r.proof_bytes);
-  append_i64(b, r.reexecuted_steps);
-  append_i64(b, r.lsh_mismatches);
-  append_i64(b, r.double_checks);
-  append_u64(b, r.checks.size());
-  for (const TransitionCheck& c : r.checks) {
-    append_i64(b, c.transition);
-    b.push_back(c.hash_ok ? 1 : 0);
-    b.push_back(c.lsh_matched ? 1 : 0);
-    b.push_back(c.double_checked ? 1 : 0);
-    append_u64(b, std::bit_cast<std::uint64_t>(c.distance));
-    b.push_back(c.passed ? 1 : 0);
-  }
-  return digest_to_hex(sha256(b));
 }
 
 class VerifierSweep : public ::testing::TestWithParam<SweepCase> {

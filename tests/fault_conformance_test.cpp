@@ -378,6 +378,35 @@ TEST_F(FaultConformance, RetriesHappenAndAreTyped) {
   EXPECT_GT(outcome.faults.total_faults(), 0u);
 }
 
+TEST_F(FaultConformance, SpooferUnderDropsIsNeverAcceptedAndAlwaysTyped) {
+  // A rejected session checks all q samples, so an RPoLv2 spoofer can run
+  // several double-check round trips, each exposed to loss. Whatever the
+  // drops hit, the spoofer is never accepted and the session ends in a
+  // typed status without throwing.
+  for (const Scheme scheme : {Scheme::kRPoLv1, Scheme::kRPoLv2}) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      SCOPED_TRACE(scheme_name(scheme) + " seed " + std::to_string(seed));
+      Scenario s;
+      s.name = "spoof_drop";
+      s.scheme = scheme;
+      s.plan =
+          fault::FaultPlan::transport(uniform(0.05, 0, 0, 0, 0), seed * 7919);
+      SpoofPolicy spoof(0.1, 0.5);
+      SessionOutcome outcome;
+      ASSERT_NO_THROW(
+          outcome = run_protocol_session(
+              task.factory, task.hp, config(s), global, /*nonce=*/505, view,
+              spoof, sim::device_ga10(), /*worker_seed=*/3,
+              sim::device_g3090(), /*manager_seed=*/4));
+      EXPECT_FALSE(outcome.accepted);
+      EXPECT_TRUE(outcome.status == SessionStatus::kVerdictRejected ||
+                  outcome.status == SessionStatus::kDecodeRejected ||
+                  outcome.status == SessionStatus::kTimeout)
+          << session_status_name(outcome.status);
+    }
+  }
+}
+
 TEST_F(FaultConformance, StatusNamesPinned) {
   EXPECT_STREQ(session_status_name(SessionStatus::kAccepted), "accepted");
   EXPECT_STREQ(session_status_name(SessionStatus::kVerdictRejected),

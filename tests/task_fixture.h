@@ -1,7 +1,8 @@
 // Shared tiny training task for protocol-level tests: an MLP on Gaussian
 // blobs, small enough that full epochs take milliseconds but structured
 // exactly like the paper's tasks (deterministic factory, i.i.d. partitions,
-// checkpointed SGDM training on noisy simulated devices).
+// checkpointed SGDM training on noisy simulated devices). Also the worker
+// policies that break the epoch's shape.
 
 #pragma once
 
@@ -48,6 +49,37 @@ struct TinyTask {
     ctx.initial = executor.save_state();
     ctx.dataset = &view;
     return ctx;
+  }
+};
+
+// Worker policies that break the epoch shape the task fixes: every
+// verifier must reject them unsampled (core/verifier.h well_formed_epoch).
+//
+// Trains one transition, then commits the two checkpoints it holds while
+// claiming the full step boundaries.
+class TruncatedEpochPolicy : public core::WorkerPolicy {
+ public:
+  std::string name() const override { return "truncated_epoch"; }
+  core::EpochTrace produce_trace(core::StepExecutor& executor,
+                                 const core::EpochContext& context,
+                                 sim::DeviceExecution& device) override {
+    return core::run_honest_transitions(executor, context, device, 1);
+  }
+};
+
+// Trains honestly, then appends four copies of its last checkpoint.
+class PaddedEpochPolicy : public core::WorkerPolicy {
+ public:
+  std::string name() const override { return "padded_epoch"; }
+  core::EpochTrace produce_trace(core::StepExecutor& executor,
+                                 const core::EpochContext& context,
+                                 sim::DeviceExecution& device) override {
+    core::EpochTrace trace =
+        core::HonestPolicy().produce_trace(executor, context, device);
+    for (int i = 0; i < 4; ++i) {
+      trace.checkpoints.push_back(trace.checkpoints.back());
+    }
+    return trace;
   }
 };
 

@@ -57,7 +57,7 @@ rm -f "$BUILD_DIR/tier1_live_scratch.jsonl" "$BUILD_DIR/tier1_flight_scratch.jso
 echo "==> tier-1 pass 6/8: RPOL_CKPT_BUDGET=4096 (hot cache squeezed to one"
 echo "    checkpoint; streaming suites must stay bitwise identical)"
 (cd "$BUILD_DIR" && RPOL_CKPT_BUDGET=4096 ctest --output-on-failure \
-  -R 'core_ckptstore_test|runtime_determinism_test|core_commitment_golden_test' \
+  -R 'core_ckptstore_test|runtime_determinism_test|core_commitment_golden_test|core_protocol_test' \
   -j "$(nproc)")
 
 # Advisory regression check against the committed benchmark baseline: the
