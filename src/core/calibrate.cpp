@@ -23,7 +23,7 @@ std::vector<double> measure_reproduction_errors(
   const DeterministicSelector selector(context.nonce);
   std::vector<double> errors;
   errors.reserve(static_cast<std::size_t>(trace.num_transitions()));
-  const std::vector<bool>& mask = replayer.trainable_mask();
+  const TrainableRuns trainable(replayer.trainable_mask());
   for (std::int64_t j = 0; j < trace.num_transitions(); ++j) {
     const std::int64_t first = trace.step_of[static_cast<std::size_t>(j)];
     const std::int64_t count = trace.step_of[static_cast<std::size_t>(j + 1)] - first;
@@ -31,7 +31,7 @@ std::vector<double> measure_reproduction_errors(
     replayer.run_steps(first, count, *context.dataset, selector, &exec_b);
     errors.push_back(trainable_distance(
         replayer.save_state().model,
-        trace.checkpoints[static_cast<std::size_t>(j + 1)].model, mask));
+        trace.checkpoints[static_cast<std::size_t>(j + 1)].model, trainable));
   }
   return errors;
 }

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
+#include <utility>
 
 #ifdef __unix__
 #include <unistd.h>
@@ -82,25 +83,35 @@ void CheckpointStore::cache_locked(std::int64_t index, TrainState state) const {
   mem_.set(hot_bytes_);
 }
 
-void CheckpointStore::append(const TrainState& state) {
-  const Bytes encoded = serialize_state(state);
+void CheckpointStore::append(TrainState state) {
   std::lock_guard<std::mutex> lock(mu_);
   file_.clear();
   file_.seekp(static_cast<std::streamoff>(spill_bytes_), std::ios::beg);
-  file_.write(reinterpret_cast<const char*>(encoded.data()),
-              static_cast<std::streamsize>(encoded.size()));
+  const auto write = [&](const std::uint8_t* p, std::size_t n) {
+    file_.write(reinterpret_cast<const char*>(p),
+                static_cast<std::streamsize>(n));
+  };
+  // serialize_state's bytes, written straight from the state's vectors.
+  for (const std::vector<float>* v : {&state.model, &state.optimizer}) {
+    std::uint8_t count[8];
+    store_u64_le(v->size(), count);
+    write(count, sizeof count);
+    write_f32_le(v->data(), v->size(), write);
+  }
   file_.flush();
   if (!file_) {
     throw std::runtime_error("checkpoint spill write failed: " + path_);
   }
   Record rec;
   rec.offset = spill_bytes_;
-  rec.length = encoded.size();
-  rec.state_bytes = state.byte_size();
+  rec.model_count = state.model.size();
+  rec.opt_count = state.optimizer.size();
   records_.push_back(rec);
-  spill_bytes_ += rec.length;
-  logical_bytes_ += rec.state_bytes;
-  cache_locked(static_cast<std::int64_t>(records_.size()) - 1, state);
+  spill_bytes_ += encoded_floats_size(rec.model_count) +
+                  encoded_floats_size(rec.opt_count);
+  logical_bytes_ += state.byte_size();
+  cache_locked(static_cast<std::int64_t>(records_.size()) - 1,
+               std::move(state));
 }
 
 std::int64_t CheckpointStore::num_checkpoints() const {
@@ -109,21 +120,28 @@ std::int64_t CheckpointStore::num_checkpoints() const {
 }
 
 TrainState CheckpointStore::read_record(const Record& rec) const {
-  Bytes buf(static_cast<std::size_t>(rec.length));
   file_.clear();
   file_.seekg(static_cast<std::streamoff>(rec.offset), std::ios::beg);
-  file_.read(reinterpret_cast<char*>(buf.data()),
-             static_cast<std::streamsize>(buf.size()));
-  if (file_.gcount() != static_cast<std::streamsize>(buf.size())) {
-    throw std::runtime_error("checkpoint spill read failed: " + path_);
-  }
-  std::size_t offset = 0;
+  const auto read = [&](std::uint8_t* p, std::size_t n) {
+    file_.read(reinterpret_cast<char*>(p), static_cast<std::streamsize>(n));
+    if (file_.gcount() != static_cast<std::streamsize>(n)) {
+      throw std::runtime_error("checkpoint spill read failed: " + path_);
+    }
+  };
+  // Decodes one vector straight into `v`; its count prefix must be the one
+  // recorded at append time.
+  const auto read_vector = [&](std::vector<float>& v, std::uint64_t count) {
+    std::uint8_t prefix[8];
+    read(prefix, sizeof prefix);
+    if (load_u64_le(prefix) != count) {
+      throw std::runtime_error("checkpoint spill record corrupt: " + path_);
+    }
+    v.resize(static_cast<std::size_t>(count));
+    read_f32_le(v.data(), v.size(), read);
+  };
   TrainState state;
-  state.model = deserialize_floats(buf, offset);
-  state.optimizer = deserialize_floats(buf, offset);
-  if (offset != buf.size()) {
-    throw std::runtime_error("checkpoint spill record corrupt: " + path_);
-  }
+  read_vector(state.model, rec.model_count);
+  read_vector(state.optimizer, rec.opt_count);
   return state;
 }
 
@@ -173,9 +191,9 @@ class CommitAndSpillSink final : public CheckpointSink {
  public:
   CommitAndSpillSink(CommitmentBuilder& builder, CheckpointStore& store)
       : builder_(builder), store_(store) {}
-  void append(const TrainState& state) override {
+  void append(TrainState state) override {
     builder_.add_checkpoint(state);
-    store_.append(state);
+    store_.append(std::move(state));
   }
 
  private:

@@ -6,16 +6,20 @@
 // makes worker memory grow linearly with checkpoint count — the exact
 // failure mode this store removes. Design:
 //
-//   * WRITE-THROUGH SPILL. Every append()ed state is serialized canonically
-//     (serialize_state) and written to an append-only spill file before it
-//     is cached. The disk copy is the source of truth from the first byte,
-//     so eviction is "forget the hot entry" — no dirty tracking, no
-//     write-back window, and a cold read can never observe a torn state.
-//   * HOT LRU CACHE. Decoded TrainStates are kept hot up to a byte budget
+//   * WRITE-THROUGH SPILL. Every append()ed state is written to an
+//     append-only spill file before it is cached, in the canonical
+//     serialize_state encoding, straight from the state's vectors through
+//     the one fp32 codec (tensor/serialize.h) — no staging buffer. The disk
+//     copy is the source of truth from the first byte, so eviction is
+//     "forget the hot entry" — no dirty tracking, no write-back window, and
+//     a cold read can never observe a torn state. Cold reads decode the
+//     record straight into the fetched state's vectors.
+//   * HOT LRU CACHE. TrainStates are kept hot up to a byte budget
 //     (RPOL_CKPT_BUDGET env or CkptStoreConfig::budget_bytes); the
-//     least-recently-used entry is dropped first. Eviction runs BEFORE
-//     insertion, so resident cache bytes never exceed
-//     max(budget, one checkpoint).
+//     least-recently-used entry is dropped first. append() takes its state
+//     by value and moves it into the cache, so a freshly saved state is
+//     never copied on its way in. Eviction runs BEFORE insertion, so
+//     resident cache bytes never exceed max(budget, one checkpoint).
 //   * ACCOUNTED. Hot bytes are charged to obs::MemTag::kCkptStore through a
 //     MemScope, so tests and the health report can assert the budget holds
 //     (tests/core_ckptstore_test.cpp does exactly that at 10x checkpoint
@@ -69,9 +73,10 @@ class CheckpointStore final : public CheckpointSource, public CheckpointSink {
   CheckpointStore(const CheckpointStore&) = delete;
   CheckpointStore& operator=(const CheckpointStore&) = delete;
 
-  // CheckpointSink: serializes the state to the spill file, then caches it
-  // hot (evicting LRU entries first so the budget is never exceeded).
-  void append(const TrainState& state) override;
+  // CheckpointSink: writes the state's encoding to the spill file, then
+  // moves the state into the hot cache (evicting LRU entries first so the
+  // budget is never exceeded).
+  void append(TrainState state) override;
 
   // CheckpointSource.
   std::int64_t num_checkpoints() const override;
@@ -94,8 +99,8 @@ class CheckpointStore final : public CheckpointSource, public CheckpointSink {
  private:
   struct Record {
     std::uint64_t offset = 0;       // into the spill file
-    std::uint64_t length = 0;       // serialized byte count
-    std::uint64_t state_bytes = 0;  // TrainState::byte_size()
+    std::uint64_t model_count = 0;  // floats in TrainState::model
+    std::uint64_t opt_count = 0;    // floats in TrainState::optimizer
   };
   struct HotEntry {
     TrainState state;

@@ -1,6 +1,5 @@
 #include "core/commitment.h"
 
-#include <bit>
 #include <stdexcept>
 
 #include "runtime/thread_pool.h"
@@ -19,11 +18,11 @@ constexpr std::int64_t kLeafGrain = 1;
 // trainable weights. The one definition of a leaf, shared by the batch
 // commit_v1/v2 and CommitmentBuilder.
 void hash_leaves(const TrainState& state, const lsh::PStableLsh* hasher,
-                 const std::vector<bool>* mask, Commitment& c, std::size_t j) {
+                 const TrainableRuns* trainable, Commitment& c,
+                 std::size_t j) {
   c.state_hashes[j] = hash_state(state);
   if (hasher != nullptr) {
-    c.lsh_digests[j] = hasher->hash(
-        mask != nullptr ? extract_trainable(state.model, *mask) : state.model);
+    c.lsh_digests[j] = hash_trainable(*hasher, state.model, trainable);
   }
 }
 
@@ -33,6 +32,8 @@ void hash_leaves(const TrainState& state, const lsh::PStableLsh* hasher,
 Commitment commit_trace(const EpochTrace& trace, const lsh::PStableLsh* hasher,
                         const std::vector<bool>* mask) {
   if (trace.checkpoints.empty()) throw std::invalid_argument("empty trace");
+  std::optional<TrainableRuns> trainable;
+  if (hasher != nullptr && mask != nullptr) trainable.emplace(*mask);
   Commitment c;
   c.version =
       hasher != nullptr ? CommitmentVersion::kV2 : CommitmentVersion::kV1;
@@ -43,7 +44,8 @@ Commitment commit_trace(const EpochTrace& trace, const lsh::PStableLsh* hasher,
       [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t j = lo; j < hi; ++j) {
           const auto i = static_cast<std::size_t>(j);
-          hash_leaves(trace.checkpoints[i], hasher, mask, c, i);
+          hash_leaves(trace.checkpoints[i], hasher,
+                      trainable ? &*trainable : nullptr, c, i);
         }
       });
   c.root = commitment_root(c);
@@ -86,41 +88,30 @@ std::uint64_t EpochTrace::storage_bytes() const {
 
 Bytes serialize_state(const TrainState& state) {
   Bytes out;
-  out.reserve(16 + 4 * (state.model.size() + state.optimizer.size()));
-  Bytes model_bytes = serialize_floats(state.model);
-  Bytes opt_bytes = serialize_floats(state.optimizer);
-  out.insert(out.end(), model_bytes.begin(), model_bytes.end());
-  out.insert(out.end(), opt_bytes.begin(), opt_bytes.end());
+  out.reserve(encoded_floats_size(state.model.size()) +
+              encoded_floats_size(state.optimizer.size()));
+  append_floats(out, state.model);
+  append_floats(out, state.optimizer);
   return out;
 }
 
 void update_with_floats(Sha256& h, const std::vector<float>& v) {
   std::uint8_t prefix[8];
-  const std::uint64_t count = v.size();
-  for (int i = 0; i < 8; ++i) {
-    prefix[i] = static_cast<std::uint8_t>(count >> (8 * i));
-  }
+  store_u64_le(v.size(), prefix);
   h.update(prefix, sizeof prefix);
-  static_assert(sizeof(float) == 4, "canonical encoding assumes fp32");
-  if constexpr (std::endian::native == std::endian::little) {
-    // The canonical payload (LE IEEE-754 fp32) IS the vector's raw memory.
-    h.update(reinterpret_cast<const std::uint8_t*>(v.data()), 4 * v.size());
-  } else {
-    // Byte-swapping fallback; chunked so the staging buffer stays small.
-    std::uint8_t chunk[4 * 256];
-    std::size_t fill = 0;
-    for (const float f : v) {
-      std::uint32_t bits = std::bit_cast<std::uint32_t>(f);
-      for (int i = 0; i < 4; ++i) {
-        chunk[fill++] = static_cast<std::uint8_t>(bits >> (8 * i));
-      }
-      if (fill == sizeof chunk) {
-        h.update(chunk, fill);
-        fill = 0;
-      }
-    }
-    if (fill != 0) h.update(chunk, fill);
+  write_f32_le(v.data(), v.size(), [&](const std::uint8_t* p, std::size_t n) {
+    h.update(p, n);
+  });
+}
+
+lsh::LshDigest hash_trainable(const lsh::PStableLsh& hasher,
+                              const std::vector<float>& model,
+                              const TrainableRuns* trainable) {
+  if (trainable == nullptr ||
+      (trainable->all() && model.size() == trainable->size())) {
+    return hasher.hash(model);
   }
+  return hasher.hash(extract_trainable(model, *trainable));  // checks sizes
 }
 
 Digest hash_state(const TrainState& state) {
@@ -128,6 +119,16 @@ Digest hash_state(const TrainState& state) {
   update_with_floats(h, state.model);
   update_with_floats(h, state.optimizer);
   return h.finish();
+}
+
+HashedState CheckpointSource::fetch_input(std::int64_t transition) const {
+  HashedState out{fetch(transition), {}};
+  out.hash = hash_state(out.state);
+  return out;
+}
+
+HashedState CheckpointSource::fetch_output(std::int64_t transition) const {
+  return fetch_input(transition + 1);
 }
 
 std::uint64_t Commitment::byte_size() const {
@@ -213,8 +214,8 @@ CompactCommitment compact_commitment(const Commitment& full) {
 CommitmentBuilder::CommitmentBuilder(CommitmentVersion version,
                                      const lsh::PStableLsh* hasher,
                                      const std::vector<bool>* mask)
-    : hasher_(version == CommitmentVersion::kV2 ? hasher : nullptr),
-      mask_(mask) {
+    : hasher_(version == CommitmentVersion::kV2 ? hasher : nullptr) {
+  if (hasher_ != nullptr && mask != nullptr) trainable_.emplace(*mask);
   if (version == CommitmentVersion::kV2 && hasher_ == nullptr) {
     throw std::invalid_argument("v2 commitment builder needs an LSH hasher");
   }
@@ -224,7 +225,8 @@ CommitmentBuilder::CommitmentBuilder(CommitmentVersion version,
 void CommitmentBuilder::add_checkpoint(const TrainState& state) {
   acc_.state_hashes.emplace_back();
   if (hasher_ != nullptr) acc_.lsh_digests.emplace_back();
-  hash_leaves(state, hasher_, mask_, acc_, acc_.state_hashes.size() - 1);
+  hash_leaves(state, hasher_, trainable_ ? &*trainable_ : nullptr, acc_,
+              acc_.state_hashes.size() - 1);
   mem_.set(acc_.byte_size());
 }
 

@@ -50,6 +50,13 @@ Digest hash_state(const TrainState& state);
 // payload is the vector's raw memory, so this is a zero-copy update.
 void update_with_floats(Sha256& h, const std::vector<float>& v);
 
+// The LSH digest of a model state's trainable weights, as commitments and
+// the verifier compute it. With every element trainable (or no runs given)
+// the hasher reads `model` itself; otherwise the extracted subvector.
+lsh::LshDigest hash_trainable(const lsh::PStableLsh& hasher,
+                              const std::vector<float>& model,
+                              const TrainableRuns* trainable);
+
 enum class CommitmentVersion { kV1, kV2 };
 
 struct Commitment {
@@ -180,7 +187,7 @@ class CommitmentBuilder {
 
  private:
   const lsh::PStableLsh* hasher_;  // v2 only
-  const std::vector<bool>* mask_;
+  std::optional<TrainableRuns> trainable_;  // v2 with a mask: derived once
   Commitment acc_;                 // digest lists only; root filled by finish()
   // Resident digest bytes charged to the merkle tag while the builder lives.
   obs::MemScope mem_{obs::MemTag::kMerkle};

@@ -63,7 +63,7 @@ DecentralizedResult DecentralizedVerifier::verify(
       assign_verifiers(config_.assignment_seed, commitment.root, result.samples,
                        verifiers.size(), config_.verifiers_per_sample);
   const DeterministicSelector selector(context.nonce);
-  const std::vector<bool>& mask = executor_.trainable_mask();
+  const TrainableRuns trainable(executor_.trainable_mask());
 
   std::vector<std::int64_t> per_verifier_steps(verifiers.size(), 0);
   bool all_passed = true;
@@ -109,7 +109,7 @@ DecentralizedResult DecentralizedVerifier::verify(
           result.total_reexecuted_steps += count;
           per_verifier_steps[v] += count;
           vote.distance = trainable_distance(executor_.save_state().model,
-                                             claimed.model, mask);
+                                             claimed.model, trainable);
           vote.pass = vote.distance <= config_.beta;
           break;
         }

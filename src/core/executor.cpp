@@ -9,44 +9,65 @@
 
 namespace rpol::core {
 
+TrainableRuns::TrainableRuns(const std::vector<bool>& mask)
+    : size_(mask.size()) {
+  auto it = mask.begin();
+  while ((it = std::find(it, mask.end(), true)) != mask.end()) {
+    const auto end = std::find(it, mask.end(), false);
+    runs_.emplace_back(static_cast<std::size_t>(it - mask.begin()),
+                       static_cast<std::size_t>(end - mask.begin()));
+    count_ += static_cast<std::size_t>(end - it);
+    it = end;
+  }
+}
+
 std::vector<float> extract_trainable(const std::vector<float>& model_state,
-                                     const std::vector<bool>& mask) {
-  if (model_state.size() != mask.size()) {
+                                     const TrainableRuns& trainable) {
+  if (model_state.size() != trainable.size()) {
     throw std::invalid_argument("trainable mask size mismatch");
   }
   std::vector<float> out;
-  out.reserve(model_state.size());
-  for (std::size_t i = 0; i < model_state.size(); ++i) {
-    if (mask[i]) out.push_back(model_state[i]);
+  out.reserve(trainable.count());
+  for (const auto& [begin, end] : trainable.runs()) {
+    out.insert(out.end(), model_state.begin() + static_cast<std::ptrdiff_t>(begin),
+               model_state.begin() + static_cast<std::ptrdiff_t>(end));
   }
   return out;
 }
 
 double trainable_distance(const std::vector<float>& a,
                           const std::vector<float>& b,
-                          const std::vector<bool>& mask) {
-  if (a.size() != b.size() || a.size() != mask.size()) {
+                          const TrainableRuns& trainable) {
+  if (a.size() != b.size() || a.size() != trainable.size()) {
     throw std::invalid_argument("trainable_distance size mismatch");
   }
   // Verifier hot path (checkpoint distance): blocked parallel reduction.
   // Block boundaries are FIXED (independent of thread count); each block's
-  // partial sum is accumulated serially and the partials are combined in
-  // block order, so the result is bit-identical for any RPOL_THREADS.
-  constexpr std::int64_t kBlock = 4096;
-  const std::int64_t total = static_cast<std::int64_t>(a.size());
-  const std::int64_t blocks = (total + kBlock - 1) / kBlock;
+  // partial sum accumulates its trainable elements serially in index order
+  // and the partials are combined in block order, so the result is
+  // bit-identical for any RPOL_THREADS.
+  constexpr std::size_t kBlock = 4096;
+  const std::size_t total = a.size();
+  const std::int64_t blocks =
+      static_cast<std::int64_t>((total + kBlock - 1) / kBlock);
   if (blocks <= 0) return 0.0;
+  const auto& runs = trainable.runs();
   std::vector<double> partial(static_cast<std::size_t>(blocks), 0.0);
   runtime::parallel_for(0, blocks, 1, [&](std::int64_t b0, std::int64_t b1) {
     for (std::int64_t blk = b0; blk < b1; ++blk) {
-      const std::int64_t lo = blk * kBlock;
-      const std::int64_t hi = std::min(total, lo + kBlock);
+      const std::size_t lo = static_cast<std::size_t>(blk) * kBlock;
+      const std::size_t hi = std::min(total, lo + kBlock);
+      // First run ending past lo; walk runs until one starts at or past hi.
+      auto run = std::partition_point(
+          runs.begin(), runs.end(),
+          [lo](const TrainableRuns::Run& r) { return r.second <= lo; });
       double acc = 0.0;
-      for (std::int64_t i = lo; i < hi; ++i) {
-        const std::size_t idx = static_cast<std::size_t>(i);
-        if (!mask[idx]) continue;
-        const double d = static_cast<double>(a[idx]) - b[idx];
-        acc += d * d;
+      for (; run != runs.end() && run->first < hi; ++run) {
+        const std::size_t end = std::min(hi, run->second);
+        for (std::size_t i = std::max(lo, run->first); i < end; ++i) {
+          const double d = static_cast<double>(a[i]) - b[i];
+          acc += d * d;
+        }
       }
       partial[static_cast<std::size_t>(blk)] = acc;
     }

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 
 #include "core/detsel.h"
 #include "core/task.h"
@@ -34,6 +35,14 @@ struct TrainState {
   }
 };
 
+// A proof state fetched from a CheckpointSource, with the SHA-256 of its
+// canonical encoding (hash_state) that the verifier checks against the
+// commitment.
+struct HashedState {
+  TrainState state;
+  Digest hash{};
+};
+
 // Read-only random access to an ordered checkpoint sequence. Two
 // realizations: the in-memory EpochTrace (adapter in core/verifier.cpp) and
 // the spill-to-disk CheckpointStore (core/ckptstore.h). fetch() returns a
@@ -47,27 +56,57 @@ class CheckpointSource {
   // Checkpoint `index` in [0, num_checkpoints()); throws std::out_of_range
   // outside that window.
   virtual TrainState fetch(std::int64_t index) const = 0;
-  // Checkpoint `transition + 1` as the output of a sampled transition. A
-  // source serving proofs over a wire overrides it: with adjacent samples,
-  // j's output and j+1's input share an index but not a message.
-  virtual TrainState fetch_output(std::int64_t transition) const {
-    return fetch(transition + 1);
-  }
+
+  // The two proof states of a sampled transition, each with its digest:
+  // the input C_j and the output C_{j+1}. The defaults fetch and hash (in
+  // core/commitment.cpp): the worker's store is untrusted, so the manager
+  // hashes every state it fetches itself. A source serving proofs over a
+  // wire overrides both: its decoder already hashed the very states it
+  // serves, and with adjacent samples j's output and j+1's input share an
+  // index but not a message.
+  virtual HashedState fetch_input(std::int64_t transition) const;
+  virtual HashedState fetch_output(std::int64_t transition) const;
 };
 
-// Extracts the trainable-weight subvector of a model state (mask from
-// Model::trainable_mask()). Verification distances and LSH digests operate
-// on this subset: buffer (BatchNorm statistics) divergence scales with
-// activation magnitudes rather than with the training step and is covered
-// by the exact SHA hashes instead.
+// The trainable elements of a model state (mask from
+// Model::trainable_mask()) as ordered, disjoint [begin, end) runs. Derive it
+// once per mask and keep it: extract_trainable and trainable_distance then
+// copy or scan whole runs instead of testing the mask element by element.
+// Implicit so a mask can be passed where runs are expected (the runs are
+// then derived for that one call).
+class TrainableRuns {
+ public:
+  using Run = std::pair<std::size_t, std::size_t>;
+
+  TrainableRuns(const std::vector<bool>& mask);
+
+  const std::vector<Run>& runs() const { return runs_; }
+  // Length of the mask (== model state size).
+  std::size_t size() const { return size_; }
+  // Number of trainable elements (sum of run lengths).
+  std::size_t count() const { return count_; }
+  // Every element is trainable (e.g. the MLPs): the state IS its trainable
+  // subvector.
+  bool all() const { return count_ == size_; }
+
+ private:
+  std::vector<Run> runs_;
+  std::size_t size_ = 0;
+  std::size_t count_ = 0;
+};
+
+// Extracts the trainable-weight subvector of a model state. Verification
+// distances and LSH digests operate on this subset: buffer (BatchNorm
+// statistics) divergence scales with activation magnitudes rather than with
+// the training step and is covered by the exact SHA hashes instead.
 std::vector<float> extract_trainable(const std::vector<float>& model_state,
-                                     const std::vector<bool>& mask);
+                                     const TrainableRuns& trainable);
 
 // Euclidean distance between two model states restricted to the trainable
 // subset — the paper's reproduction-error measure over model weights.
 double trainable_distance(const std::vector<float>& a,
                           const std::vector<float>& b,
-                          const std::vector<bool>& mask);
+                          const TrainableRuns& trainable);
 
 class StepExecutor {
  public:

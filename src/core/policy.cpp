@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace rpol::core {
 
@@ -51,7 +52,7 @@ StreamedTraceInfo WorkerPolicy::stream_trace(StepExecutor& executor,
   // identical to produce_trace by construction, but NOT bounded-memory —
   // policies with a sequential structure override this.
   EpochTrace trace = produce_trace(executor, context, device);
-  for (const TrainState& state : trace.checkpoints) sink.append(state);
+  for (TrainState& state : trace.checkpoints) sink.append(std::move(state));
   StreamedTraceInfo info;
   info.step_of = std::move(trace.step_of);
   info.mean_loss = trace.mean_loss;

@@ -34,10 +34,13 @@ struct EpochContext {
 // streaming pipeline (core/ckptstore.h) implements it by hashing each state
 // into a CommitmentBuilder and parking the bytes in a spill-backed
 // CheckpointStore, so a streaming producer never owns the full chain.
+// `append` takes the state by value: a producer hands over a fresh state
+// with a move (the store keeps it as its hot copy), a state it still needs
+// with a copy.
 class CheckpointSink {
  public:
   virtual ~CheckpointSink() = default;
-  virtual void append(const TrainState& state) = 0;
+  virtual void append(TrainState state) = 0;
 };
 
 // Trace metadata that travels alongside a streamed checkpoint sequence —

@@ -141,17 +141,27 @@ struct ExchangeDriver {
   }
 };
 
+// A decoded ProofResponse whose states all hash-matched the commitment,
+// with the digest of each state as the decoder computed it.
+struct CheckedProofs {
+  ProofResponse states;
+  std::vector<Digest> input_hashes;
+  std::vector<Digest> output_hashes;
+};
+
 // The manager's view of the worker's proof store while Verifier::verify
 // runs. Inputs (and RPoLv1 outputs) come from the batched ProofResponse,
 // already hash-checked at decode; an RPoLv2 double-check fetches its output
-// with one more round trip. The verifier re-derives the samples the proof
-// request carried, so a fetch outside them means the two calls disagree.
+// with one more round trip. Each state is handed over with the digest its
+// decoder computed, so the verifier does not hash it a second time. The
+// verifier re-derives the samples the proof request carried, so a fetch
+// outside them means the two calls disagree.
 class WireProofSource final : public CheckpointSource {
  public:
-  using DoubleCheck = std::function<ProofResponse(std::int64_t)>;
+  using DoubleCheck = std::function<CheckedProofs(std::int64_t)>;
   WireProofSource(std::int64_t committed,
                   const std::vector<std::int64_t>& requested,
-                  const ProofResponse& proofs, DoubleCheck double_check)
+                  const CheckedProofs& proofs, DoubleCheck double_check)
       : committed_(committed),
         requested_(requested),
         proofs_(proofs),
@@ -159,12 +169,20 @@ class WireProofSource final : public CheckpointSource {
 
   std::int64_t num_checkpoints() const override { return committed_; }
   TrainState fetch(std::int64_t index) const override {
-    return proofs_.input_states[position(index)];
+    return proofs_.states.input_states[position(index)];
   }
-  TrainState fetch_output(std::int64_t transition) const override {
+  HashedState fetch_input(std::int64_t transition) const override {
     const std::size_t s = position(transition);
-    if (!proofs_.output_states.empty()) return proofs_.output_states[s];
-    return std::move(double_check_(transition).output_states.front());
+    return {proofs_.states.input_states[s], proofs_.input_hashes[s]};
+  }
+  HashedState fetch_output(std::int64_t transition) const override {
+    const std::size_t s = position(transition);
+    if (!proofs_.states.output_states.empty()) {
+      return {proofs_.states.output_states[s], proofs_.output_hashes[s]};
+    }
+    CheckedProofs fetched = double_check_(transition);
+    return {std::move(fetched.states.output_states.front()),
+            fetched.output_hashes.front()};
   }
 
  private:
@@ -178,7 +196,7 @@ class WireProofSource final : public CheckpointSource {
 
   std::int64_t committed_;
   const std::vector<std::int64_t>& requested_;
-  const ProofResponse& proofs_;
+  const CheckedProofs& proofs_;
   DoubleCheck double_check_;
 };
 
@@ -456,7 +474,8 @@ SessionOutcome run_protocol_session(
           MessageType::kProofResponse, encode_proof_response(response),
           /*to_worker=*/false,
           [&](const Bytes& b) {
-            ProofResponse decoded = decode_proof_response(b);
+            CheckedProofs checked{decode_proof_response(b), {}, {}};
+            const ProofResponse& decoded = checked.states;
             if (decoded.input_states.size() != (inputs ? n : 0u) ||
                 decoded.output_states.size() != (outputs ? n : 0u)) {
               throw std::invalid_argument("proof response shape mismatch");
@@ -466,18 +485,25 @@ SessionOutcome run_protocol_session(
               if (j + 1 >= hashes.size()) {
                 throw std::out_of_range("proof transition beyond commitment");
               }
+              if (inputs) {
+                checked.input_hashes.push_back(
+                    hash_state(decoded.input_states[s]));
+              }
+              if (outputs) {
+                checked.output_hashes.push_back(
+                    hash_state(decoded.output_states[s]));
+              }
               const bool in_ok =
-                  !inputs || digest_equal(hash_state(decoded.input_states[s]),
-                                          hashes[j]);
+                  !inputs || digest_equal(checked.input_hashes.back(), hashes[j]);
               const bool out_ok =
-                  !outputs || digest_equal(hash_state(decoded.output_states[s]),
-                                           hashes[j + 1]);
+                  !outputs ||
+                  digest_equal(checked.output_hashes.back(), hashes[j + 1]);
               if (!in_ok || !out_ok) {
                 throw std::runtime_error(
                     "proof state does not match commitment");
               }
             }
-            return decoded;
+            return checked;
           },
           serve_span.context(),
           /*withheld=*/byzantine == fault::Byzantine::kProofWithholding);
@@ -490,7 +516,7 @@ SessionOutcome run_protocol_session(
     const std::vector<std::int64_t> step_of = hp.checkpoint_boundaries();
     const auto committed = static_cast<std::int64_t>(hashes.size());
     std::vector<std::int64_t> samples;
-    ProofResponse proofs;
+    CheckedProofs proofs;
     if (well_formed_epoch(hp, committed, committed, step_of)) {
       samples =
           sample_transitions(config.sampling_seed, manager_commitment.root,

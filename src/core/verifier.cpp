@@ -114,7 +114,10 @@ std::vector<std::int64_t> sample_transitions(std::uint64_t seed,
 
 Verifier::Verifier(const nn::ModelFactory& factory, const Hyperparams& hp,
                    VerifierConfig config)
-    : hp_(hp), config_(std::move(config)), executor_(factory, hp) {}
+    : hp_(hp),
+      config_(std::move(config)),
+      executor_(factory, hp),
+      trainable_(executor_.trainable_mask()) {}
 
 const lsh::PStableLsh& Verifier::hasher() const {
   if (!lsh_family_) {
@@ -259,7 +262,6 @@ VerifyResult Verifier::check_transitions(
     const EpochContext& context, sim::DeviceExecution& device,
     const obs::TraceContext& trace_parent) {
   const DeterministicSelector selector(context.nonce);
-  const std::vector<bool>& mask = executor_.trainable_mask();
 
   // Decides one transition whose digests are bound; returns early, with
   // `check.passed` false, at the first failed step.
@@ -271,9 +273,9 @@ VerifyResult Verifier::check_transitions(
     // this block (the executor holds the loaded weights), so at most one
     // non-replay checkpoint is resident at once.
     {
-      const TrainState proof_in = source.fetch(j);
-      result.proof_bytes += proof_in.byte_size();
-      check.hash_ok = digest_equal(hash_state(proof_in), bound.in_hash);
+      const HashedState proof_in = source.fetch_input(j);
+      result.proof_bytes += proof_in.state.byte_size();
+      check.hash_ok = digest_equal(proof_in.hash, bound.in_hash);
       if (!check.hash_ok) return;
 
       // Re-execute the transition on the manager's device.
@@ -284,7 +286,7 @@ VerifyResult Verifier::check_transitions(
         obs::Span reexec("reexecute", trace_parent);
         reexec.attr("transition", j);
         reexec.attr("steps", count);
-        executor_.load_state(proof_in);
+        executor_.load_state(proof_in.state);
         executor_.run_steps(first, count, *context.dataset, selector, &device);
       }
       result.reexecuted_steps += count;
@@ -295,7 +297,7 @@ VerifyResult Verifier::check_transitions(
     // LSH digest of C_{j+1}; on a miss it runs the double-check below.
     if (config_.use_lsh) {
       const lsh::LshDigest replay_digest =
-          hasher().hash(extract_trainable(replay.model, mask));
+          hash_trainable(hasher(), replay.model, &trainable_);
       check.lsh_matched = lsh::lsh_match(replay_digest, bound.out_lsh);
       if (check.lsh_matched) {
         check.passed = true;
@@ -307,11 +309,12 @@ VerifyResult Verifier::check_transitions(
     }
     // RPoLv1 and the double-check: only now is the raw output state pulled
     // in, hash-checked and distance-tested.
-    const TrainState claimed = source.fetch_output(j);
-    result.proof_bytes += claimed.byte_size();
-    check.hash_ok = digest_equal(hash_state(claimed), bound.out_hash);
+    const HashedState claimed = source.fetch_output(j);
+    result.proof_bytes += claimed.state.byte_size();
+    check.hash_ok = digest_equal(claimed.hash, bound.out_hash);
     if (!check.hash_ok) return;
-    check.distance = trainable_distance(replay.model, claimed.model, mask);
+    check.distance =
+        trainable_distance(replay.model, claimed.state.model, trainable_);
     check.passed = check.distance <= config_.beta;
   };
 

@@ -174,6 +174,7 @@ class Verifier {
   Hyperparams hp_;
   VerifierConfig config_;
   StepExecutor executor_;
+  TrainableRuns trainable_;  // the executor's trainable mask, derived once
   std::shared_ptr<const lsh::PStableLsh> lsh_family_;
 
   const lsh::PStableLsh& hasher() const;

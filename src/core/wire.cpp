@@ -277,22 +277,6 @@ std::int64_t ChunkedStateEncoder::num_chunks() const {
   return static_cast<std::int64_t>((total_ + chunk_bytes_ - 1) / chunk_bytes_);
 }
 
-namespace {
-
-// Copies bytes [pos, pos+n) of serialize_floats(v)'s PAYLOAD section (the
-// 4*|v| little-endian fp32 bytes, counts excluded) into `out`.
-void copy_float_bytes(const std::vector<float>& v, std::uint64_t pos,
-                      std::size_t n, std::uint8_t* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t byte = pos + i;
-    std::uint32_t bits = 0;
-    std::memcpy(&bits, &v[static_cast<std::size_t>(byte / 4)], sizeof bits);
-    out[i] = static_cast<std::uint8_t>(bits >> (8 * (byte % 4)));
-  }
-}
-
-}  // namespace
-
 void ChunkedStateEncoder::copy_window(std::uint64_t pos, std::size_t n,
                                       std::uint8_t* out) const {
   // Logical stream (== encode_train_state):
@@ -308,23 +292,13 @@ void ChunkedStateEncoder::copy_window(std::uint64_t pos, std::size_t n,
       const std::uint64_t local = pos - seg_start;
       const std::size_t take = static_cast<std::size_t>(
           std::min<std::uint64_t>(n, seg_end - pos));
-      switch (seg) {
-        case 0:
-          for (std::size_t i = 0; i < take; ++i) {
-            out[i] = static_cast<std::uint8_t>(m >> (8 * (local + i)));
-          }
-          break;
-        case 1:
-          copy_float_bytes(state_->model, local, take, out);
-          break;
-        case 2:
-          for (std::size_t i = 0; i < take; ++i) {
-            out[i] = static_cast<std::uint8_t>(o >> (8 * (local + i)));
-          }
-          break;
-        default:
-          copy_float_bytes(state_->optimizer, local, take, out);
-          break;
+      if (seg == 0 || seg == 2) {
+        std::uint8_t count_le[8];
+        store_u64_le(seg == 0 ? m : o, count_le);
+        std::memcpy(out, count_le + local, take);
+      } else {
+        const auto& v = seg == 1 ? state_->model : state_->optimizer;
+        encode_f32_le(v.data(), local, take, out);
       }
       out += take;
       pos += take;

@@ -383,13 +383,13 @@ Tensor ReLU::forward(const Tensor& input, bool /*training*/) {
   float* po = out.data();
   float* pm = cached_mask_.data();
   const std::int64_t n = input.numel();
+  // Branch-free selects: a positive input passes with mask 1, anything else
+  // (zero, -0.0, NaN, negative) becomes +0.0 with mask 0.
   runtime::parallel_for(0, n, 4096, [&](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t i = i0; i < i1; ++i) {
-      if (po[i] > 0.0F) {
-        pm[i] = 1.0F;
-      } else {
-        po[i] = 0.0F;
-      }
+      const bool pass = po[i] > 0.0F;
+      po[i] = pass ? po[i] : 0.0F;
+      pm[i] = pass ? 1.0F : 0.0F;
     }
   });
   return out;

@@ -32,7 +32,11 @@ void Optimizer::init_slots(bool second_bank) {
 }
 
 std::vector<float> Optimizer::state_vector() const {
+  std::size_t size = 1;
+  for (const Tensor& t : slots_) size += t.vec().size();
+  for (const Tensor& t : slots2_) size += t.vec().size();
   std::vector<float> out;
+  out.reserve(size);
   out.push_back(static_cast<float>(step_count_));
   for (const Tensor& t : slots_) {
     out.insert(out.end(), t.vec().begin(), t.vec().end());

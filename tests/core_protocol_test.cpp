@@ -305,6 +305,67 @@ TEST_F(VerifierFixture, V2TransfersFewerProofBytesThanV1) {
   }
 }
 
+// Serves an honest trace, optionally handing the verifier a zero digest in
+// place of the input's or the output's real one. Without an override the
+// CheckpointSource defaults hash what fetch() returns.
+class DigestOverrideSource final : public CheckpointSource {
+ public:
+  DigestOverrideSource(const EpochTrace& trace, bool bad_input, bool bad_output)
+      : trace_(trace), bad_input_(bad_input), bad_output_(bad_output) {}
+  std::int64_t num_checkpoints() const override {
+    return static_cast<std::int64_t>(trace_.checkpoints.size());
+  }
+  TrainState fetch(std::int64_t index) const override {
+    return trace_.checkpoints.at(static_cast<std::size_t>(index));
+  }
+  HashedState fetch_input(std::int64_t transition) const override {
+    HashedState out = CheckpointSource::fetch_input(transition);
+    if (bad_input_) out.hash = Digest{};
+    return out;
+  }
+  HashedState fetch_output(std::int64_t transition) const override {
+    HashedState out = CheckpointSource::fetch_output(transition);
+    if (bad_output_) out.hash = Digest{};
+    return out;
+  }
+
+ private:
+  const EpochTrace& trace_;
+  bool bad_input_;
+  bool bad_output_;
+};
+
+TEST_F(VerifierFixture, VerifierDecidesOnTheDigestTheSourceHandsOver) {
+  const EpochTrace trace = honest_trace();
+  const Commitment commitment = commit_v1(trace);
+  const auto verify_with = [&](bool bad_input, bool bad_output) {
+    Verifier verifier(task.factory, task.hp, base_config(false));
+    sim::DeviceExecution manager_device(sim::device_g3090(), 1234);
+    return verifier.verify(commitment,
+                           DigestOverrideSource(trace, bad_input, bad_output),
+                           trace.step_of, context, hash_state(context.initial),
+                           manager_device);
+  };
+  const VerifyResult reference = run_verify(trace, commitment, false);
+  const VerifyResult honest = verify_with(false, false);
+  ASSERT_TRUE(reference.accepted);
+  EXPECT_TRUE(honest.accepted);
+  EXPECT_EQ(honest.proof_bytes, reference.proof_bytes);
+  EXPECT_EQ(honest.reexecuted_steps, reference.reexecuted_steps);
+
+  // A wrong input digest fails before any re-execution.
+  const VerifyResult bad_in = verify_with(true, false);
+  EXPECT_FALSE(bad_in.accepted);
+  EXPECT_EQ(bad_in.failure, VerifyFailure::kHashMismatch);
+  EXPECT_EQ(bad_in.reexecuted_steps, 0);
+  // A wrong output digest fails after re-execution, before the distance.
+  const VerifyResult bad_out = verify_with(false, true);
+  EXPECT_FALSE(bad_out.accepted);
+  EXPECT_EQ(bad_out.failure, VerifyFailure::kHashMismatch);
+  EXPECT_EQ(bad_out.reexecuted_steps, reference.reexecuted_steps);
+  for (const auto& c : bad_out.checks) EXPECT_EQ(c.distance, 0.0);
+}
+
 TEST_F(VerifierFixture, ReplayAttackerRejectedBothVersions) {
   StepExecutor exec(task.factory, task.hp);
   sim::DeviceExecution device(sim::device_ga10(), 3);

@@ -646,6 +646,13 @@ TEST_F(ChunkedSession, MiddleChunkFaultSweepNeverAcceptsTornState) {
                          "against an honest worker (seed "
                       << seed << ")";
         break;
+      case SessionStatus::kAdmissionRejected:
+      case SessionStatus::kRequeued:
+        ADD_FAILURE() << "transport faults must not produce an admission "
+                         "status ("
+                      << session_status_name(outcome.status) << ", seed "
+                      << seed << ")";
+        break;
     }
   }
   // The sweep must actually exercise the failure path (the rates above

@@ -6,10 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
+
 #include "nn/blocks.h"
 #include "nn/loss.h"
 #include "nn/optim.h"
 #include "obs/obs.h"
+#include "runtime/thread_pool.h"
 #include "test_util.h"
 
 namespace rpol::nn {
@@ -354,6 +358,69 @@ TEST(ReLU, ForwardAndBackwardMask) {
   EXPECT_EQ(dx.at(1), 10.0F);
   EXPECT_EQ(dx.at(2), 0.0F);
   EXPECT_EQ(dx.at(3), 10.0F);
+}
+
+// The branching ReLU loop ReLU::forward used before its branch-free select,
+// kept as the oracle: positive inputs pass with mask 1; every other input
+// becomes +0.0 with mask 0.
+void reference_relu(const Tensor& input, std::vector<float>& out,
+                    std::vector<float>& mask) {
+  out = input.vec();
+  mask.assign(out.size(), 0.0F);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    if (out[i] > 0.0F) {
+      mask[i] = 1.0F;
+    } else {
+      out[i] = 0.0F;
+    }
+  }
+}
+
+std::uint32_t float_bits(float f) { return std::bit_cast<std::uint32_t>(f); }
+
+TEST(ReLU, BranchFreeForwardIsBitwiseTheReferenceLoop) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> specials{
+      -0.0F, 0.0F, std::numeric_limits<float>::quiet_NaN(),
+      -std::numeric_limits<float>::quiet_NaN(),
+      std::bit_cast<float>(0x7FC12345U),  // NaN with a payload
+      std::bit_cast<float>(0xFF812345U),  // negative signalling-pattern NaN
+      denorm, -denorm, std::numeric_limits<float>::min() / 2.0F,
+      -std::numeric_limits<float>::min() / 2.0F, inf, -inf,
+      std::numeric_limits<float>::max(), std::numeric_limits<float>::lowest(),
+      1.0F, -1.0F};
+  // Large enough to span several parallel_for grains; the special values
+  // are scattered through random data, including across grain boundaries.
+  Rng rng(77);
+  std::vector<float> data(3 * 4096 + 17);
+  for (auto& v : data) v = rng.next_normal();
+  for (std::size_t k = 0; k < specials.size(); ++k) {
+    data[k] = specials[k];
+    data[4096 - 1 - k] = specials[k];
+    data[data.size() - 1 - k] = specials[k];
+  }
+  const Tensor x({static_cast<std::int64_t>(data.size())}, data);
+
+  const int saved_threads = runtime::threads();
+  for (const int threads : {1, 4}) {
+    runtime::set_threads(threads);
+    ReLU relu;
+    const Tensor y = relu.forward(x, true);
+    std::vector<float> want_out, want_mask;
+    reference_relu(x, want_out, want_mask);
+    // The backward pass multiplies by the cached mask: all-ones gradients
+    // read the mask back out.
+    const Tensor ones({x.numel()}, std::vector<float>(data.size(), 1.0F));
+    const Tensor mask = relu.backward(ones);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      ASSERT_EQ(float_bits(y.vec()[i]), float_bits(want_out[i]))
+          << "output " << i << " threads " << threads;
+      ASSERT_EQ(float_bits(mask.vec()[i]), float_bits(want_mask[i]))
+          << "mask " << i << " threads " << threads;
+    }
+  }
+  runtime::set_threads(saved_threads);
 }
 
 TEST(MaxPool2d, SelectsMaxAndRoutesGradient) {

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: configure, build, and run the full test suite in
+# Tier-1 verification: configure and build with warnings as errors
+# (-DRPOL_WERROR=ON: -Wall -Wextra -Werror), and run the full test suite in
 # eight passes — (1) pinned to a single compute thread, (2) RPOL_THREADS
 # unset (pool defaults to hardware_concurrency), (3) RPOL_SHARDS=3 (the
 # sharded pool manager resolves a multi-shard default; §6 says shard layout
@@ -23,7 +24,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
-cmake -B "$BUILD_DIR" -S .
+cmake -B "$BUILD_DIR" -S . -DRPOL_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 # The pool benchmark (perfbench/) is a standalone build of src/ plus its own
