@@ -455,19 +455,25 @@ TrainState decode_train_state(const Bytes& in, std::size_t& offset) {
 }
 
 Bytes encode_proof_response(const ProofResponse& msg) {
-  Bytes out;
-  out.push_back(kTagProofResponse);
-  append_u64(out, msg.input_states.size());
-  for (const auto& s : msg.input_states) {
-    const Bytes encoded = encode_train_state(s);
-    append_u64(out, encoded.size());
-    out.insert(out.end(), encoded.begin(), encoded.end());
+  // Each state is [u64 len][encode_train_state bytes], written in place.
+  const auto state_bytes = [](const TrainState& s) {
+    return encoded_floats_size(s.model.size()) +
+           encoded_floats_size(s.optimizer.size());
+  };
+  std::uint64_t total = 1 + 8 + 8;
+  for (const auto* states : {&msg.input_states, &msg.output_states}) {
+    for (const auto& s : *states) total += 8 + state_bytes(s);
   }
-  append_u64(out, msg.output_states.size());
-  for (const auto& s : msg.output_states) {
-    const Bytes encoded = encode_train_state(s);
-    append_u64(out, encoded.size());
-    out.insert(out.end(), encoded.begin(), encoded.end());
+  Bytes out;
+  out.reserve(total);
+  out.push_back(kTagProofResponse);
+  for (const auto* states : {&msg.input_states, &msg.output_states}) {
+    append_u64(out, states->size());
+    for (const auto& s : *states) {
+      append_u64(out, state_bytes(s));
+      append_floats(out, s.model);
+      append_floats(out, s.optimizer);
+    }
   }
   return out;
 }

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 
+#include "obs/json.h"
 #include "obs/obs.h"
 
 #ifdef __unix__
@@ -102,24 +102,6 @@ void flight_reset() {
 // ---------------------------------------------------------------------------
 // Flight dumps (normal path: stdio; signal path: raw fd + manual formatting)
 
-namespace {
-
-void json_escape_what(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';  // labels are plain ASCII; degrade rather than escape
-    } else {
-      out += c;
-    }
-  }
-}
-
-}  // namespace
-
 std::size_t dump_flight_record(std::FILE* out) {
   const std::vector<FlightEvent> events = flight_snapshot();
   std::size_t lines = 0;
@@ -129,10 +111,7 @@ std::size_t dump_flight_record(std::FILE* out) {
                kFlightCapacity,
                static_cast<unsigned long long>(flight_count()));
   ++lines;
-  std::string what;
   for (const FlightEvent& e : events) {
-    what.clear();
-    json_escape_what(what, e.what);
     std::fprintf(out,
                  "{\"type\":\"flight\",\"t_ns\":%llu,\"kind\":\"%s\","
                  "\"worker\":%lld,\"epoch\":%lld,\"value\":%llu,"
@@ -140,7 +119,8 @@ std::size_t dump_flight_record(std::FILE* out) {
                  static_cast<unsigned long long>(e.t_ns),
                  flight_kind_name(e.kind), static_cast<long long>(e.worker),
                  static_cast<long long>(e.epoch),
-                 static_cast<unsigned long long>(e.value), what.c_str());
+                 static_cast<unsigned long long>(e.value),
+                 json_escape(e.what).c_str());
     ++lines;
   }
   return lines;
@@ -157,8 +137,7 @@ bool dump_flight_record_file(const std::string& path) {
 namespace {
 
 std::string flight_default_path() {
-  const char* env = std::getenv("RPOL_FLIGHT_FILE");
-  return (env != nullptr && env[0] != '\0') ? env : "rpol_flight.jsonl";
+  return sink_path("RPOL_FLIGHT_FILE", "rpol_flight.jsonl");
 }
 
 }  // namespace

@@ -2,25 +2,14 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <iterator>
 #include <stdexcept>
 
-#include "obs/json.h"
 #include "sim/stats.h"
 
 namespace rpol::obs {
 
 namespace {
-
-const Json& require(const Json& obj, std::string_view key) {
-  const Json* v = obj.find(key);
-  if (v == nullptr) {
-    throw std::runtime_error("trace record missing field '" +
-                             std::string(key) + "'");
-  }
-  return *v;
-}
 
 SpanRecord parse_span(const Json& obj) {
   SpanRecord s;
@@ -74,86 +63,50 @@ const std::string* span_attr(const SpanRecord& s, std::string_view key) {
   return nullptr;
 }
 
-}  // namespace
-
-Trace parse_trace_jsonl(std::istream& in, bool strict) {
+Trace parse_trace_text(std::string_view text, bool strict) {
   Trace trace;
-  std::string line;
   bool saw_meta = false;
-  std::size_t line_no = 0;
-  std::size_t line_start = 0;  // byte offset of the current line
-  constexpr std::size_t kMaxKeptErrors = 8;
-  while (std::getline(in, line)) {
-    ++line_no;
-    // getline consumed the line plus its newline unless it stopped at EOF,
-    // in which case this is a final line the writer never terminated.
-    const bool unterminated_tail = in.eof();
-    const std::size_t this_line_start = line_start;
-    line_start += line.size() + (unterminated_tail ? 0 : 1);
-    if (line.empty()) continue;
-    try {
-      const Json obj = parse_json(line);
-      const std::string& type = require(obj, "type").token;
-      if (type == "meta") {
-        trace.schema = require(obj, "schema").token;
-        if (trace.schema != "rpol.trace.v1" &&
-            trace.schema != "rpol.trace.v2") {
-          // Not tolerable even in lenient mode: the whole file speaks a
-          // dialect this analyzer does not know.
-          throw std::runtime_error("unknown trace schema: " + trace.schema);
-        }
-        trace.wall_unix_ns = require(obj, "wall_unix_ns").as_u64();
-        saw_meta = true;
-      } else if (type == "counter") {
-        trace.counters[require(obj, "name").token] =
-            require(obj, "value").as_u64();
-      } else if (type == "gauge") {
-        trace.gauges[require(obj, "name").token] =
-            require(obj, "value").as_double();
-      } else if (type == "histogram") {
-        trace.histograms.push_back(parse_histogram(obj));
-      } else if (type == "span") {
-        trace.spans.push_back(parse_span(obj));
-      } else {
-        throw std::runtime_error("unknown record type '" + type + "'");
+  read_jsonl(text, strict, "trace", trace, [&](const Json& obj) {
+    const std::string& type = require(obj, "type").token;
+    if (type == "meta") {
+      trace.schema = require(obj, "schema").token;
+      if (trace.schema != "rpol.trace.v1" && trace.schema != "rpol.trace.v2") {
+        // The whole file speaks a dialect this analyzer does not know.
+        throw JsonlFatal("unknown trace schema: " + trace.schema);
       }
-    } catch (const std::exception& e) {
-      const std::string what =
-          "line " + std::to_string(line_no) + ": " + e.what();
-      const bool schema_error =
-          std::string_view(e.what()).find("unknown trace schema") !=
-          std::string_view::npos;
-      if (unterminated_tail && !schema_error) {
-        // Cut mid-record, not damaged: the writer crashed or is still
-        // appending. Tolerant mode reports it; strict mode pinpoints it.
-        if (strict) {
-          throw std::runtime_error(
-              "trace truncated mid-record at byte offset " +
-              std::to_string(this_line_start) + " (" + what + ")");
-        }
-        trace.truncated_tail = true;
-        trace.truncated_tail_offset = this_line_start;
-        break;
-      }
-      if (strict || schema_error) throw std::runtime_error(what);
-      ++trace.skipped_lines;
-      if (trace.parse_errors.size() < kMaxKeptErrors) {
-        trace.parse_errors.push_back(what);
-      }
+      trace.wall_unix_ns = require(obj, "wall_unix_ns").as_u64();
+      saw_meta = true;
+    } else if (type == "counter") {
+      trace.counters[require(obj, "name").token] =
+          require(obj, "value").as_u64();
+    } else if (type == "gauge") {
+      trace.gauges[require(obj, "name").token] =
+          require(obj, "value").as_double();
+    } else if (type == "histogram") {
+      trace.histograms.push_back(parse_histogram(obj));
+    } else if (type == "span") {
+      trace.spans.push_back(parse_span(obj));
+    } else {
+      throw std::runtime_error("unknown record type '" + type + "'");
     }
-  }
+  });
   if (!saw_meta) {
     throw std::runtime_error("not an rpol trace: no meta line found");
   }
   return trace;
 }
 
+}  // namespace
+
+Trace parse_trace_jsonl(std::istream& in, bool strict) {
+  return parse_trace_text(
+      std::string(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>()),
+      strict);
+}
+
 Trace load_trace_file(const std::string& path, bool strict) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    throw std::runtime_error("cannot open trace file: " + path);
-  }
-  return parse_trace_jsonl(in, strict);
+  return parse_trace_text(read_file(path, "trace"), strict);
 }
 
 TraceSummary summarize_trace(const Trace& trace) {
@@ -231,23 +184,7 @@ void print_trace_summary(const Trace& trace, std::FILE* out) {
   std::fprintf(out, "schema %s, %zu spans, %zu counters, %zu histograms\n",
                trace.schema.c_str(), trace.spans.size(), trace.counters.size(),
                trace.histograms.size());
-  if (trace.skipped_lines > 0) {
-    std::fprintf(out, "WARNING: skipped %zu malformed line%s:\n",
-                 trace.skipped_lines, trace.skipped_lines == 1 ? "" : "s");
-    for (const std::string& err : trace.parse_errors) {
-      std::fprintf(out, "  %s\n", err.c_str());
-    }
-    if (trace.parse_errors.size() < trace.skipped_lines) {
-      std::fprintf(out, "  ... and %zu more\n",
-                   trace.skipped_lines - trace.parse_errors.size());
-    }
-  }
-  if (trace.truncated_tail) {
-    std::fprintf(out,
-                 "WARNING: final record truncated at byte %zu (writer cut "
-                 "mid-append)\n",
-                 trace.truncated_tail_offset);
-  }
+  print_jsonl_damage(trace, out);
   std::fprintf(out, "wall extent covered by spans: %.3f s\n", s.wall_extent_s);
 
   if (!s.phases.empty()) {

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/obs.h"
 
 namespace rpol::obs {
@@ -31,30 +32,20 @@ struct ParsedHistogram {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets;  // (le, count)
 };
 
-struct Trace {
+// The inherited JsonlDamage holds what a tolerant read skipped.
+struct Trace : JsonlDamage {
   std::string schema;
   std::uint64_t wall_unix_ns = 0;
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
   std::vector<ParsedHistogram> histograms;
   std::vector<SpanRecord> spans;
-  // Tolerant-mode damage report: lines that failed to parse (truncated
-  // writes, editor mangling) are skipped and counted here, with the first
-  // few error messages kept for diagnosis.
-  std::size_t skipped_lines = 0;
-  std::vector<std::string> parse_errors;  // "line N: why", capped
-  // A final line with no trailing newline that fails to parse is a write
-  // cut mid-record (a crash, or a reader racing the writer), not interior
-  // damage: tolerant mode flags it here instead of counting it skipped,
-  // and strict mode's error names the byte offset where it starts.
-  bool truncated_tail = false;
-  std::size_t truncated_tail_offset = 0;
 };
 
-// Parses one JSONL stream. A missing meta line or an unknown schema always
-// throws std::runtime_error — the file is not an rpol trace at all. Damaged
-// individual records are skipped and counted (Trace::skipped_lines) by
-// default; with strict=true any unparsable line throws instead.
+// Parses one JSONL stream (read_jsonl in json.h). A missing meta line or an
+// unknown schema always throws std::runtime_error — the file is not an rpol
+// trace at all. A record with an unknown type or a missing mandatory field
+// is damage like a syntax error.
 Trace parse_trace_jsonl(std::istream& in, bool strict = false);
 Trace load_trace_file(const std::string& path, bool strict = false);
 

@@ -2,32 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/json.h"
 
 namespace rpol::obs {
 namespace {
-
-void write_escaped(std::FILE* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': std::fputs("\\\"", out); break;
-      case '\\': std::fputs("\\\\", out); break;
-      case '\n': std::fputs("\\n", out); break;
-      case '\t': std::fputs("\\t", out); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::fprintf(out, "\\u%04x", c);
-        } else {
-          std::fputc(c, out);
-        }
-    }
-  }
-}
 
 std::string require_string(const Json& obj, const char* key) {
   const Json* v = obj.find(key);
@@ -58,11 +39,11 @@ std::size_t write_bench_json(const BenchReport& report, std::FILE* out) {
     const BenchRecord& r = sorted.records[i];
     std::fputs(i == 0 ? "\n" : ",\n", out);
     std::fputs(" {\"bench\":\"", out);
-    write_escaped(out, r.bench);
+    std::fputs(json_escape(r.bench).c_str(), out);
     std::fputs("\",\"name\":\"", out);
-    write_escaped(out, r.name);
+    std::fputs(json_escape(r.name).c_str(), out);
     std::fputs("\",\"unit\":\"", out);
-    write_escaped(out, r.unit);
+    std::fputs(json_escape(r.unit).c_str(), out);
     std::fprintf(out, "\",\"value\":%.9g,\"higher_is_better\":%s", r.value,
                  r.higher_is_better ? "true" : "false");
     if (r.has_stats) {
@@ -73,9 +54,9 @@ std::size_t write_bench_json(const BenchReport& report, std::FILE* out) {
     }
     std::fprintf(out, ",\"env\":{\"threads\":%lld,\"build\":\"",
                  static_cast<long long>(r.env.threads));
-    write_escaped(out, r.env.build);
+    std::fputs(json_escape(r.env.build).c_str(), out);
     std::fputs("\",\"compiler\":\"", out);
-    write_escaped(out, r.env.compiler);
+    std::fputs(json_escape(r.env.compiler).c_str(), out);
     std::fprintf(out, "\",\"peak_rss_bytes\":%llu}}",
                  static_cast<unsigned long long>(r.env.peak_rss_bytes));
   }
@@ -119,33 +100,22 @@ BenchReport parse_bench_json(std::string_view text) {
       throw std::runtime_error("bench file: record missing numeric \"value\"");
     }
     r.value = value->as_double();
-    if (const Json* hib = jr.find("higher_is_better");
-        hib != nullptr && hib->kind == Json::Kind::kBool) {
-      r.higher_is_better = hib->b;
-    }
+    r.higher_is_better = bool_field(jr, "higher_is_better");
     if (const Json* stats = jr.find("stats");
         stats != nullptr && stats->kind == Json::Kind::kObject) {
       r.has_stats = true;
-      if (const Json* v = stats->find("best")) r.stats.best = v->as_double();
-      if (const Json* v = stats->find("p50")) r.stats.p50 = v->as_double();
-      if (const Json* v = stats->find("p95")) r.stats.p95 = v->as_double();
-      if (const Json* v = stats->find("worst")) r.stats.worst = v->as_double();
+      r.stats.best = double_field(*stats, "best");
+      r.stats.p50 = double_field(*stats, "p50");
+      r.stats.p95 = double_field(*stats, "p95");
+      r.stats.worst = double_field(*stats, "worst");
     }
     if (const Json* env = jr.find("env");
         env != nullptr && env->kind == Json::Kind::kObject) {
-      if (const Json* v = env->find("threads")) r.env.threads = v->as_i64();
-      if (const Json* v = env->find("build");
-          v != nullptr && v->kind == Json::Kind::kString) {
-        r.env.build = v->token;
-      }
-      if (const Json* v = env->find("compiler");
-          v != nullptr && v->kind == Json::Kind::kString) {
-        r.env.compiler = v->token;
-      }
+      r.env.threads = i64_field(*env, "threads");
+      r.env.build = string_field(*env, "build");
+      r.env.compiler = string_field(*env, "compiler");
       // Absent in pre-memory-column files: stays 0 (= not recorded).
-      if (const Json* v = env->find("peak_rss_bytes")) {
-        r.env.peak_rss_bytes = v->as_u64();
-      }
+      r.env.peak_rss_bytes = u64_field(*env, "peak_rss_bytes");
     }
     report.records.push_back(std::move(r));
   }
@@ -154,11 +124,7 @@ BenchReport parse_bench_json(std::string_view text) {
 }
 
 BenchReport load_bench_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open bench file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_bench_json(buf.str());
+  return parse_bench_json(read_file(path, "bench"));
 }
 
 BenchReport merge_bench_reports(const BenchReport& base,

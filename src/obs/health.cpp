@@ -1,7 +1,6 @@
 #include "obs/health.h"
 
-#include <cstdlib>
-
+#include "obs/json.h"
 #include "obs/obs.h"
 
 namespace rpol::obs {
@@ -239,9 +238,7 @@ std::string maybe_export_health(const std::string& default_path,
                                 const HealthRegistry& reg,
                                 const RssSampler::Summary* rss) {
   if (!enabled()) return "";
-  const char* env = std::getenv("RPOL_HEALTH_FILE");
-  const std::string path =
-      (env != nullptr && env[0] != '\0') ? env : default_path;
+  const std::string path = sink_path("RPOL_HEALTH_FILE", default_path);
   if (!export_health_jsonl_file(path, reg, rss)) return "";
   return path;
 }

@@ -1,36 +1,13 @@
 #include "obs/health_read.h"
 
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
-
-#include "obs/json.h"
-
 namespace rpol::obs {
 
 namespace {
 
-std::uint64_t u64_field(const Json& obj, std::string_view key) {
-  const Json* v = obj.find(key);
-  return v != nullptr ? v->as_u64() : 0;
-}
-
-bool bool_field(const Json& obj, std::string_view key) {
-  const Json* v = obj.find(key);
-  return v != nullptr && v->kind == Json::Kind::kBool && v->b;
-}
-
-std::string string_field(const Json& obj, std::string_view key) {
-  const Json* v = obj.find(key);
-  return (v != nullptr && v->kind == Json::Kind::kString) ? v->token
-                                                          : std::string();
-}
-
 void parse_worker_line(const Json& obj, HealthReport& report) {
   HealthWorkerRow row;
   row.worker = static_cast<std::size_t>(u64_field(obj, "worker"));
-  const Json* score = obj.find("score");
-  row.score = score != nullptr ? score->as_double() : 0.0;
+  row.score = double_field(obj, "score");
   row.state = health_state_from_name(string_field(obj, "state"));
   row.evicted = bool_field(obj, "evicted");
   row.consecutive_failures =
@@ -62,48 +39,8 @@ double HealthReport::coverage_vs_rss_growth() const {
 }
 
 HealthReport parse_health_jsonl(std::string_view text, bool strict) {
-  constexpr std::size_t kMaxKeptErrors = 8;
   HealthReport report;
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t line_start = pos;
-    std::size_t end = text.find('\n', pos);
-    const bool has_newline = end != std::string_view::npos;
-    if (!has_newline) end = text.size();
-    const std::string_view line = text.substr(pos, end - pos);
-    pos = has_newline ? end + 1 : text.size();
-    ++line_no;
-    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
-
-    Json obj;
-    try {
-      obj = parse_json(line);
-    } catch (const std::exception& e) {
-      if (!has_newline) {
-        // Final line cut mid-record: the exporter crashed or a reader is
-        // racing the writer — not interior corruption.
-        if (strict) {
-          throw std::runtime_error(
-              "health export truncated mid-record at byte offset " +
-              std::to_string(line_start) + " (line " +
-              std::to_string(line_no) + "): " + e.what());
-        }
-        report.truncated_tail = true;
-        report.truncated_tail_offset = line_start;
-        break;
-      }
-      if (strict) {
-        throw std::runtime_error("health line " + std::to_string(line_no) +
-                                 ": " + e.what());
-      }
-      ++report.skipped_lines;
-      if (report.parse_errors.size() < kMaxKeptErrors) {
-        report.parse_errors.push_back("line " + std::to_string(line_no) +
-                                      ": " + e.what());
-      }
-      continue;
-    }
+  read_jsonl(text, strict, "health", report, [&](const Json& obj) {
     const std::string type = string_field(obj, "type");
     if (type == "meta") {
       report.schema = string_field(obj, "schema");
@@ -132,57 +69,19 @@ HealthReport parse_health_jsonl(std::string_view text, bool strict) {
       report.rss.growth_bytes = u64_field(obj, "growth_bytes");
     }
     // Unknown types: skipped for forward compatibility.
-  }
+  });
   return report;
 }
 
 HealthReport load_health_file(const std::string& path, bool strict) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open health file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_health_jsonl(buf.str(), strict);
+  return parse_health_jsonl(read_file(path, "health"), strict);
 }
-
-namespace {
-
-std::string human_bytes(std::uint64_t bytes) {
-  char buf[64];
-  if (bytes >= 1024ull * 1024 * 1024) {
-    std::snprintf(buf, sizeof buf, "%.2f GiB",
-                  static_cast<double>(bytes) / (1024.0 * 1024.0 * 1024.0));
-  } else if (bytes >= 1024ull * 1024) {
-    std::snprintf(buf, sizeof buf, "%.2f MiB",
-                  static_cast<double>(bytes) / (1024.0 * 1024.0));
-  } else if (bytes >= 1024) {
-    std::snprintf(buf, sizeof buf, "%.2f KiB",
-                  static_cast<double>(bytes) / 1024.0);
-  } else {
-    std::snprintf(buf, sizeof buf, "%llu B",
-                  static_cast<unsigned long long>(bytes));
-  }
-  return buf;
-}
-
-}  // namespace
 
 void print_health_report(const HealthReport& report, std::FILE* out) {
   std::fprintf(out, "health report (%s), %zu worker(s), threshold %d\n",
                report.schema.empty() ? "unknown schema" : report.schema.c_str(),
                report.workers.size(), report.eviction_threshold);
-  if (report.skipped_lines > 0) {
-    std::fprintf(out, "  WARNING: skipped %zu malformed line%s\n",
-                 report.skipped_lines, report.skipped_lines == 1 ? "" : "s");
-    for (const std::string& err : report.parse_errors) {
-      std::fprintf(out, "    %s\n", err.c_str());
-    }
-  }
-  if (report.truncated_tail) {
-    std::fprintf(out,
-                 "  WARNING: final record truncated at byte %zu (writer cut "
-                 "mid-append)\n",
-                 report.truncated_tail_offset);
-  }
+  print_jsonl_damage(report, out);
 
   if (!report.workers.empty()) {
     std::fprintf(out,

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "obs/health.h"
+#include "obs/json.h"
 
 namespace rpol::obs {
 
@@ -29,7 +30,8 @@ struct HealthMemRow {
   MemStats stats;
 };
 
-struct HealthReport {
+// The inherited JsonlDamage holds what a tolerant read skipped.
+struct HealthReport : JsonlDamage {
   std::string schema;  // "rpol.health.v1"
   std::uint64_t wall_unix_ns = 0;
   int eviction_threshold = 0;
@@ -39,14 +41,6 @@ struct HealthReport {
   RssSampler::Summary rss;  // rss.valid == false when the line was absent
   bool has_rss = false;
 
-  // Tolerant-mode damage report (same shape as analyze.h's Trace): damaged
-  // interior lines are skipped and counted; an unparseable final line with
-  // no trailing newline is a write cut mid-record and is flagged apart.
-  std::size_t skipped_lines = 0;
-  std::vector<std::string> parse_errors;  // "line N: why", capped
-  bool truncated_tail = false;
-  std::size_t truncated_tail_offset = 0;
-
   // Sum of per-tag peak bytes: the instrumented ceiling to compare against
   // sampled RSS growth.
   std::uint64_t tagged_peak_total() const;
@@ -55,10 +49,8 @@ struct HealthReport {
   double coverage_vs_rss_growth() const;
 };
 
-// Parses an rpol.health.v1 JSONL document. Unknown line types are skipped
-// (forward compatibility). Damaged lines are skipped-and-counted by
-// default; with strict=true they throw std::runtime_error naming the line
-// number — or, for a truncated final line, the byte offset.
+// Parses an rpol.health.v1 JSONL document (read_jsonl in json.h). Unknown
+// line types are skipped (forward compatibility).
 HealthReport parse_health_jsonl(std::string_view text, bool strict = false);
 HealthReport load_health_file(const std::string& path, bool strict = false);
 

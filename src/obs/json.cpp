@@ -1,7 +1,8 @@
 #include "obs/json.h"
 
 #include <cstdlib>
-#include <stdexcept>
+#include <fstream>
+#include <iterator>
 
 namespace rpol::obs {
 
@@ -20,7 +21,7 @@ class JsonParser {
 
  private:
   [[noreturn]] void fail(const std::string& what) {
-    throw std::runtime_error("trace JSON parse error at byte " +
+    throw std::runtime_error("JSON parse error at byte " +
                              std::to_string(pos_) + ": " + what);
   }
 
@@ -200,5 +201,159 @@ const Json* Json::find(std::string_view key) const {
 }
 
 Json parse_json(std::string_view text) { return JsonParser(text).parse(); }
+
+std::uint64_t u64_field(const Json& obj, std::string_view key,
+                        std::uint64_t fallback) {
+  const Json* v = obj.find(key);
+  return v != nullptr ? v->as_u64() : fallback;
+}
+
+std::int64_t i64_field(const Json& obj, std::string_view key,
+                       std::int64_t fallback) {
+  const Json* v = obj.find(key);
+  return v != nullptr ? v->as_i64() : fallback;
+}
+
+double double_field(const Json& obj, std::string_view key, double fallback) {
+  const Json* v = obj.find(key);
+  return v != nullptr ? v->as_double() : fallback;
+}
+
+bool bool_field(const Json& obj, std::string_view key) {
+  const Json* v = obj.find(key);
+  return v != nullptr && v->kind == Json::Kind::kBool && v->b;
+}
+
+std::string string_field(const Json& obj, std::string_view key) {
+  const Json* v = obj.find(key);
+  return (v != nullptr && v->kind == Json::Kind::kString) ? v->token
+                                                          : std::string();
+}
+
+const Json& require(const Json& obj, std::string_view key) {
+  const Json* v = obj.find(key);
+  if (v == nullptr) {
+    throw std::runtime_error("record missing field '" + std::string(key) +
+                             "'");
+  }
+  return *v;
+}
+
+void read_jsonl(std::string_view text, bool strict, std::string_view what,
+                JsonlDamage& damage,
+                const std::function<void(const Json&)>& on_record) {
+  std::size_t line_no = 0;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    const std::size_t line_start = pos;
+    std::size_t end = text.find('\n', pos);
+    const bool terminated = end != std::string_view::npos;
+    if (!terminated) end = text.size();
+    const std::string_view line = text.substr(pos, end - pos);
+    pos = terminated ? end + 1 : text.size();
+    ++line_no;
+    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
+    try {
+      on_record(parse_json(line));
+    } catch (const JsonlFatal&) {
+      throw;
+    } catch (const std::exception& e) {
+      const std::string where =
+          "line " + std::to_string(line_no) + ": " + e.what();
+      if (!terminated) {
+        // Cut mid-record: the writer crashed or is still appending.
+        if (strict) {
+          throw std::runtime_error(
+              std::string(what) + " truncated mid-record at byte offset " +
+              std::to_string(line_start) + " (line " +
+              std::to_string(line_no) + "): " + e.what());
+        }
+        damage.truncated_tail = true;
+        damage.truncated_tail_offset = line_start;
+        return;
+      }
+      if (strict) throw std::runtime_error(std::string(what) + " " + where);
+      ++damage.skipped_lines;
+      if (damage.parse_errors.size() < JsonlDamage::kMaxKeptErrors) {
+        damage.parse_errors.push_back(where);
+      }
+    }
+  }
+}
+
+void print_jsonl_damage(const JsonlDamage& damage, std::FILE* out) {
+  if (damage.skipped_lines > 0) {
+    std::fprintf(out, "WARNING: skipped %zu malformed line%s:\n",
+                 damage.skipped_lines, damage.skipped_lines == 1 ? "" : "s");
+    for (const std::string& err : damage.parse_errors) {
+      std::fprintf(out, "  %s\n", err.c_str());
+    }
+    if (damage.parse_errors.size() < damage.skipped_lines) {
+      std::fprintf(out, "  ... and %zu more\n",
+                   damage.skipped_lines - damage.parse_errors.size());
+    }
+  }
+  if (damage.truncated_tail) {
+    std::fprintf(out,
+                 "WARNING: final record truncated at byte %zu (writer cut "
+                 "mid-append)\n",
+                 damage.truncated_tail_offset);
+  }
+}
+
+std::string read_file(const std::string& path, std::string_view what) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    throw std::runtime_error("cannot open " + std::string(what) +
+                             " file: " + path);
+  }
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+std::string human_bytes(std::uint64_t bytes) {
+  char buf[64];
+  if (bytes >= 1024ull * 1024 * 1024) {
+    std::snprintf(buf, sizeof buf, "%.2f GiB",
+                  static_cast<double>(bytes) / (1024.0 * 1024.0 * 1024.0));
+  } else if (bytes >= 1024ull * 1024) {
+    std::snprintf(buf, sizeof buf, "%.2f MiB",
+                  static_cast<double>(bytes) / (1024.0 * 1024.0));
+  } else if (bytes >= 1024) {
+    std::snprintf(buf, sizeof buf, "%.2f KiB",
+                  static_cast<double>(bytes) / 1024.0);
+  } else {
+    std::snprintf(buf, sizeof buf, "%llu B",
+                  static_cast<unsigned long long>(bytes));
+  }
+  return buf;
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string sink_path(const char* env_var, const std::string& default_path) {
+  const char* env = std::getenv(env_var);
+  return (env != nullptr && env[0] != '\0') ? env : default_path;
+}
 
 }  // namespace rpol::obs

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <thread>
 
+#include "obs/json.h"
 #include "obs/window.h"
 
 namespace rpol::obs {
@@ -24,8 +25,7 @@ std::uint64_t live_interval_ms() {
 }
 
 std::string live_file_path(const std::string& default_path) {
-  const char* env = std::getenv("RPOL_LIVE_FILE");
-  return (env != nullptr && env[0] != '\0') ? env : default_path;
+  return sink_path("RPOL_LIVE_FILE", default_path);
 }
 
 // ---------------------------------------------------------------------------
@@ -69,23 +69,9 @@ void live_reset_health() {
 }
 
 // ---------------------------------------------------------------------------
-// JSON line assembly (names and messages are code-controlled ASCII; escape
-// the two structural characters and degrade control bytes to spaces).
+// JSON line assembly
 
 namespace {
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-}
 
 void append_u64(std::string& out, std::uint64_t v) {
   char buf[24];
@@ -177,7 +163,7 @@ struct LiveFlusher::Impl {
     line += ",\"t_ns\":";
     append_u64(line, t_ns);
     line += ",\"rule\":\"";
-    append_escaped(line, alert.rule);
+    line += json_escape(alert.rule);
     line += "\",\"severity\":\"";
     line += alert_severity_name(alert.severity);
     line += "\",\"value\":";
@@ -191,7 +177,7 @@ struct LiveFlusher::Impl {
       append_i64(line, alert.worker);
     }
     line += ",\"message\":\"";
-    append_escaped(line, alert.message);
+    line += json_escape(alert.message);
     line += "\"}\n";
     std::fwrite(line.data(), 1, line.size(), file);
   }
@@ -239,7 +225,7 @@ struct LiveFlusher::Impl {
       if (!first) line += ',';
       first = false;
       line += '"';
-      append_escaped(line, name);
+      line += json_escape(name);
       line += "\":{\"total\":";
       append_u64(line, value);
       line += ",\"delta\":";
@@ -258,7 +244,7 @@ struct LiveFlusher::Impl {
       if (!first) line += ',';
       first = false;
       line += '"';
-      append_escaped(line, name);
+      line += json_escape(name);
       line += "\":{\"count\":";
       append_u64(line, snapshot.count);
       line += ",\"delta\":";

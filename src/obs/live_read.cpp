@@ -1,43 +1,8 @@
 #include "obs/live_read.h"
 
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
-
-#include "obs/json.h"
-
 namespace rpol::obs {
 
 namespace {
-
-constexpr std::size_t kMaxKeptErrors = 8;
-
-std::uint64_t u64_field(const Json& obj, std::string_view key) {
-  const Json* v = obj.find(key);
-  return v != nullptr ? v->as_u64() : 0;
-}
-
-std::int64_t i64_field(const Json& obj, std::string_view key,
-                       std::int64_t fallback) {
-  const Json* v = obj.find(key);
-  return v != nullptr ? v->as_i64() : fallback;
-}
-
-double double_field(const Json& obj, std::string_view key) {
-  const Json* v = obj.find(key);
-  return v != nullptr ? v->as_double() : 0.0;
-}
-
-bool bool_field(const Json& obj, std::string_view key) {
-  const Json* v = obj.find(key);
-  return v != nullptr && v->kind == Json::Kind::kBool && v->b;
-}
-
-std::string string_field(const Json& obj, std::string_view key) {
-  const Json* v = obj.find(key);
-  return (v != nullptr && v->kind == Json::Kind::kString) ? v->token
-                                                          : std::string();
-}
 
 void parse_snapshot_line(const Json& obj, LiveDoc& doc) {
   LiveSnapshot snap;
@@ -106,50 +71,17 @@ void parse_alert_line(const Json& obj, LiveDoc& doc) {
   doc.alerts.push_back(std::move(row));
 }
 
+void print_alert_row(const LiveAlertRow& alert, std::FILE* out) {
+  std::fprintf(out, "  [%-4s] seq %-4llu %-18s %s\n", alert.severity.c_str(),
+               static_cast<unsigned long long>(alert.seq), alert.rule.c_str(),
+               alert.message.c_str());
+}
+
 }  // namespace
 
 LiveDoc parse_live_jsonl(std::string_view text, bool strict) {
   LiveDoc doc;
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t line_start = pos;
-    std::size_t end = text.find('\n', pos);
-    const bool has_newline = end != std::string_view::npos;
-    if (!has_newline) end = text.size();
-    const std::string_view line = text.substr(pos, end - pos);
-    pos = has_newline ? end + 1 : text.size();
-    ++line_no;
-    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
-
-    Json obj;
-    try {
-      obj = parse_json(line);
-    } catch (const std::exception& e) {
-      // A newline-less final line is an in-flight append (the flusher was
-      // mid-write when we read the file), not corruption.
-      if (!has_newline) {
-        if (strict) {
-          throw std::runtime_error(
-              "live stream truncated mid-record at byte offset " +
-              std::to_string(line_start) + " (line " + std::to_string(line_no) +
-              "): " + e.what());
-        }
-        doc.truncated_tail = true;
-        doc.truncated_tail_offset = line_start;
-        break;
-      }
-      if (strict) {
-        throw std::runtime_error("live line " + std::to_string(line_no) +
-                                 ": " + e.what());
-      }
-      ++doc.skipped_lines;
-      if (doc.parse_errors.size() < kMaxKeptErrors) {
-        doc.parse_errors.push_back("line " + std::to_string(line_no) + ": " +
-                                   e.what());
-      }
-      continue;
-    }
+  read_jsonl(text, strict, "live", doc, [&](const Json& obj) {
     const std::string type = string_field(obj, "type");
     if (type == "meta") {
       doc.schema = string_field(obj, "schema");
@@ -161,51 +93,20 @@ LiveDoc parse_live_jsonl(std::string_view text, bool strict) {
       parse_alert_line(obj, doc);
     }
     // Unknown types: skipped for forward compatibility.
-  }
+  });
   return doc;
 }
 
 LiveDoc load_live_file(const std::string& path, bool strict) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open live file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_live_jsonl(buf.str(), strict);
+  return parse_live_jsonl(read_file(path, "live"), strict);
 }
-
-namespace {
-
-std::string human_bytes(std::uint64_t bytes) {
-  char buf[64];
-  if (bytes >= 1024ull * 1024 * 1024) {
-    std::snprintf(buf, sizeof buf, "%.2f GiB",
-                  static_cast<double>(bytes) / (1024.0 * 1024.0 * 1024.0));
-  } else if (bytes >= 1024ull * 1024) {
-    std::snprintf(buf, sizeof buf, "%.2f MiB",
-                  static_cast<double>(bytes) / (1024.0 * 1024.0));
-  } else if (bytes >= 1024) {
-    std::snprintf(buf, sizeof buf, "%.2f KiB",
-                  static_cast<double>(bytes) / 1024.0);
-  } else {
-    std::snprintf(buf, sizeof buf, "%llu B",
-                  static_cast<unsigned long long>(bytes));
-  }
-  return buf;
-}
-
-void print_alert_row(const LiveAlertRow& alert, std::FILE* out) {
-  std::fprintf(out, "  [%-4s] seq %-4llu %-18s %s\n", alert.severity.c_str(),
-               static_cast<unsigned long long>(alert.seq), alert.rule.c_str(),
-               alert.message.c_str());
-}
-
-}  // namespace
 
 void print_live_report(const LiveDoc& doc, std::FILE* out) {
   std::fprintf(out, "live stream (%s), %zu snapshot(s), interval %llu ms\n",
                doc.schema.empty() ? "unknown schema" : doc.schema.c_str(),
                doc.snapshots.size(),
                static_cast<unsigned long long>(doc.interval_ms));
+  print_jsonl_damage(doc, out);
   if (doc.snapshots.empty()) {
     std::fprintf(out, "  (no snapshots yet)\n");
     return;
@@ -266,20 +167,12 @@ void print_live_report(const LiveDoc& doc, std::FILE* out) {
     std::fprintf(out, "\n  no active alerts (%zu earlier in stream)\n",
                  doc.alerts.size());
   }
-
-  if (doc.skipped_lines > 0) {
-    std::fprintf(out, "\n  (%zu damaged line(s) skipped)\n", doc.skipped_lines);
-  }
-  if (doc.truncated_tail) {
-    std::fprintf(out,
-                 "  (final record truncated at byte %zu — writer mid-append)\n",
-                 doc.truncated_tail_offset);
-  }
 }
 
 void print_alerts_summary(const LiveDoc& doc, std::FILE* out) {
   std::fprintf(out, "alerts: %zu over %zu snapshot(s)\n", doc.alerts.size(),
                doc.snapshots.size());
+  print_jsonl_damage(doc, out);
   if (doc.alerts.empty()) return;
 
   // Group by rule, preserving first-seen order.
@@ -303,12 +196,6 @@ void print_alerts_summary(const LiveDoc& doc, std::FILE* out) {
     for (const LiveAlertRow& alert : doc.alerts) {
       if (alert.rule == rule) print_alert_row(alert, out);
     }
-  }
-  if (doc.truncated_tail) {
-    std::fprintf(out,
-                 "\n  (final record truncated at byte %zu — writer "
-                 "mid-append)\n",
-                 doc.truncated_tail_offset);
   }
 }
 

@@ -5,11 +5,8 @@
 // throw freely, emitters may not.
 //
 // Truncation tolerance: a live file is routinely read WHILE the flusher
-// appends, so the final line is often cut mid-record. Tolerant parsing
-// (the default) treats an unparseable final line with no trailing newline
-// as an in-flight write — counted and reported via `truncated_tail` /
-// `truncated_tail_offset`, never an error. Strict mode throws instead,
-// naming the byte offset where the truncated record starts.
+// appends, so the final line is often cut mid-record; read_jsonl (json.h)
+// reports that as a truncated tail, never as damage.
 
 #pragma once
 
@@ -19,6 +16,7 @@
 #include <vector>
 
 #include "obs/alerts.h"
+#include "obs/json.h"
 #include "obs/mem.h"
 
 namespace rpol::obs {
@@ -67,24 +65,17 @@ struct LiveAlertRow {
   std::string message;
 };
 
-struct LiveDoc {
+// The inherited JsonlDamage holds what a tolerant read skipped.
+struct LiveDoc : JsonlDamage {
   std::string schema;  // "rpol.live.v1"
   std::uint64_t interval_ms = 0;
   std::size_t window = 0;
   std::vector<LiveSnapshot> snapshots;
   std::vector<LiveAlertRow> alerts;
-
-  // Tolerant-mode damage accounting (mirrors analyze.h's Trace fields).
-  std::size_t skipped_lines = 0;
-  std::vector<std::string> parse_errors;  // first few, for diagnostics
-  bool truncated_tail = false;            // final line cut mid-record
-  std::size_t truncated_tail_offset = 0;  // byte offset of that line
 };
 
-// Parses an rpol.live.v1 JSONL document. Tolerant mode (default) skips
-// damaged interior lines (counted in skipped_lines) and flags a truncated
-// final line; strict mode throws std::runtime_error naming the line number
-// — or, for a truncated tail, the byte offset.
+// Parses an rpol.live.v1 JSONL document (read_jsonl in json.h). Unknown
+// line types are skipped (forward compatibility).
 LiveDoc parse_live_jsonl(std::string_view text, bool strict = false);
 LiveDoc load_live_file(const std::string& path, bool strict = false);
 

@@ -139,6 +139,24 @@ TEST(Codec, StateEncodersMatchReference) {
       EXPECT_EQ(encode_train_state(s), want) << m << "/" << o;
       EXPECT_TRUE(digest_equal(hash_state(s), sha256(want)));
 
+      // ProofResponse framing: [tag][u64 n][u64 len][state]... per list.
+      TrainState t;
+      t.model = awkward_floats(o, 700 + o);
+      t.optimizer = awkward_floats(m, 800 + m);
+      ProofResponse msg;
+      msg.input_states = {s, t};
+      msg.output_states = {t};
+      Bytes framed{kTagProofResponse};
+      for (const auto* list : {&msg.input_states, &msg.output_states}) {
+        reference_append_u64(framed, list->size());
+        for (const TrainState& state : *list) {
+          const Bytes bytes = reference_state(state);
+          reference_append_u64(framed, bytes.size());
+          framed.insert(framed.end(), bytes.begin(), bytes.end());
+        }
+      }
+      EXPECT_EQ(encode_proof_response(msg), framed) << m << "/" << o;
+
       std::size_t offset = 0;
       const TrainState back = decode_train_state(want, offset);
       EXPECT_EQ(offset, want.size());

@@ -1,7 +1,9 @@
 // Exporter & analyzer coverage for the observability layer (src/obs):
 // golden-line checks of the rpol.trace.v2 JSONL schema, a full
 // export -> parse round trip through the analyzer, TraceContext propagation
-// semantics, tolerant vs strict parsing of damaged files, the empty-trace
+// semantics, tolerant vs strict parsing of damaged files (with a sweep of
+// every cut and a corruption per line over the shared JSONL reader for the
+// trace, health and live schemas), the empty-trace
 // and disabled-registry edge cases, histogram bucket math, fault-counter
 // reporting, and the shared sim::percentile quantile routine.
 
@@ -18,6 +20,8 @@
 
 #include "bench_util.h"
 #include "obs/analyze.h"
+#include "obs/health_read.h"
+#include "obs/live_read.h"
 #include "obs/obs.h"
 #include "sim/stats.h"
 
@@ -446,6 +450,118 @@ TEST_F(ObsTest, LegacyV1TracesStillLoad) {
   EXPECT_EQ(trace.spans[0].trace_id, 0U);
   EXPECT_EQ(trace.spans[0].link, 0U);
   EXPECT_EQ(trace.skipped_lines, 0U);
+}
+
+// One valid document per JSONL schema the shared reader (obs/json.h) backs.
+const char* const kTraceDoc =
+    "{\"type\":\"meta\",\"schema\":\"rpol.trace.v2\",\"wall_unix_ns\":1}\n"
+    "{\"type\":\"counter\",\"name\":\"bytes.update\",\"value\":7}\n"
+    "{\"type\":\"gauge\",\"name\":\"runtime.threads\",\"value\":4}\n"
+    "{\"type\":\"histogram\",\"name\":\"kernel.matmul_ns\",\"count\":2,"
+    "\"sum\":3000,\"max\":2000,\"p50\":1000,\"p95\":2000,"
+    "\"buckets\":[[1023,1],[2047,1]]}\n"
+    "{\"type\":\"span\",\"id\":1,\"parent\":0,\"trace\":1,\"link\":0,"
+    "\"name\":\"verify\",\"worker\":2,\"epoch\":1,\"start_ns\":10,"
+    "\"dur_ns\":20,\"attrs\":{\"accepted\":true}}\n";
+const char* const kHealthDoc =
+    "{\"type\":\"meta\",\"schema\":\"rpol.health.v1\",\"wall_unix_ns\":1,"
+    "\"eviction_threshold\":3,\"workers\":1}\n"
+    "{\"type\":\"worker\",\"worker\":0,\"score\":100.00,\"state\":\"healthy\","
+    "\"evicted\":false,\"consecutive_failures\":0,\"window\":{\"total\":1,"
+    "\"participated\":1,\"accepted\":1,\"retransmissions\":0,"
+    "\"mean_latency_ns\":5,\"min_latency_ns\":5,\"max_latency_ns\":5}}\n"
+    "{\"type\":\"mem\",\"tag\":\"checkpoint\",\"current_bytes\":1,"
+    "\"peak_bytes\":2,\"total_bytes\":3}\n"
+    "{\"type\":\"rss\",\"valid\":true,\"samples\":2,\"baseline_bytes\":10,"
+    "\"min_bytes\":10,\"peak_bytes\":30,\"last_bytes\":20,"
+    "\"growth_bytes\":20}\n";
+const char* const kLiveDoc =
+    "{\"type\":\"meta\",\"schema\":\"rpol.live.v1\",\"interval_ms\":5,"
+    "\"window\":4,\"wall_anchor_unix_ns\":1}\n"
+    "{\"type\":\"snapshot\",\"seq\":1,\"t_ns\":10,\"counters\":{"
+    "\"verify.accept\":{\"total\":1,\"delta\":1,\"rate\":0.25}},"
+    "\"histograms\":{},\"mem\":{},\"rss_bytes\":0,\"workers\":[]}\n"
+    "{\"type\":\"alert\",\"schema\":\"rpol.alert.v1\",\"seq\":1,\"t_ns\":10,"
+    "\"rule\":\"rss_slope\",\"severity\":\"warn\",\"value\":1,"
+    "\"baseline\":0,\"threshold\":1,\"message\":\"m\"}\n"
+    "{\"type\":\"snapshot\",\"seq\":2,\"t_ns\":20,\"counters\":{},"
+    "\"histograms\":{},\"mem\":{},\"rss_bytes\":0,\"workers\":[]}\n";
+
+// The reader contract at every offset of `doc`: a cut inside a line leaves
+// that line as a truncated tail (strict: "byte offset <line start>"), a cut
+// at either end of a line's content parses cleanly, and a '{' over the
+// closing brace of an interior line is one skipped line naming it.
+template <class Parse>
+void sweep_jsonl_reader(const std::string& doc, Parse parse) {
+  std::vector<std::size_t> starts;  // first byte of each line
+  for (std::size_t i = 0; i < doc.size(); i = doc.find('\n', i) + 1) {
+    starts.push_back(i);
+  }
+  // Line 1 is the meta line, which a trace cannot lose.
+  for (std::size_t line = 1; line < starts.size(); ++line) {
+    const std::size_t start = starts[line];
+    const std::size_t end = doc.find('\n', start);  // the line's newline
+    for (std::size_t cut = start; cut <= end + 1; ++cut) {
+      const std::string prefix = doc.substr(0, cut);
+      const obs::JsonlDamage tolerant = parse(prefix, false);
+      EXPECT_EQ(tolerant.skipped_lines, 0U) << "cut " << cut;
+      if (cut == start || cut >= end) {
+        EXPECT_FALSE(tolerant.truncated_tail) << "cut " << cut;
+        EXPECT_NO_THROW(parse(prefix, true)) << "cut " << cut;
+        continue;
+      }
+      EXPECT_TRUE(tolerant.truncated_tail) << "cut " << cut;
+      EXPECT_EQ(tolerant.truncated_tail_offset, start) << "cut " << cut;
+      try {
+        parse(prefix, true);
+        ADD_FAILURE() << "strict parse accepted the cut at " << cut;
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("byte offset " +
+                                             std::to_string(start)),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  for (std::size_t line = 1; line + 1 < starts.size(); ++line) {
+    std::string damaged = doc;
+    damaged[starts[line + 1] - 2] = '{';  // the line's closing brace
+    const obs::JsonlDamage tolerant = parse(damaged, false);
+    const std::string name = "line " + std::to_string(line + 1) + ":";
+    EXPECT_EQ(tolerant.skipped_lines, 1U) << name;
+    EXPECT_FALSE(tolerant.truncated_tail) << name;
+    ASSERT_EQ(tolerant.parse_errors.size(), 1U) << name;
+    EXPECT_NE(tolerant.parse_errors[0].find(name), std::string::npos)
+        << tolerant.parse_errors[0];
+    try {
+      parse(damaged, true);
+      ADD_FAILURE() << "strict parse accepted a damaged " << name;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(JsonlReader, EveryCutAndEveryLineCorruptionOverTraceHealthAndLive) {
+  sweep_jsonl_reader(kTraceDoc, [](const std::string& text, bool strict) {
+    std::istringstream in(text);
+    return static_cast<obs::JsonlDamage>(obs::parse_trace_jsonl(in, strict));
+  });
+  sweep_jsonl_reader(kHealthDoc, [](const std::string& text, bool strict) {
+    return static_cast<obs::JsonlDamage>(obs::parse_health_jsonl(text, strict));
+  });
+  sweep_jsonl_reader(kLiveDoc, [](const std::string& text, bool strict) {
+    return static_cast<obs::JsonlDamage>(obs::parse_live_jsonl(text, strict));
+  });
+}
+
+TEST(JsonlReader, WhitespaceOnlyLinesAreSkippedNotDamage) {
+  std::istringstream in(std::string(kTraceDoc) + " \t\r\n\n" +
+                        "{\"type\":\"counter\",\"name\":\"x\",\"value\":1}\n");
+  const obs::Trace trace = obs::parse_trace_jsonl(in, /*strict=*/true);
+  EXPECT_EQ(trace.skipped_lines, 0U);
+  EXPECT_EQ(trace.counters.at("x"), 1U);
 }
 
 // Reads `path` fully; print_trace_summary writes to FILE*, so the fault

@@ -229,13 +229,6 @@ int cmd_trace(const Args& args) {
               trace.histograms.size());
   obs::print_trace_summary(trace, stdout);
   int rc = 0;
-  if (trace.skipped_lines > 0) {
-    // Already detailed by print_trace_summary; --strict would have thrown
-    // before reaching here, so this only flags the tolerant path's verdict.
-    std::printf("note: %zu malformed line(s) skipped (rerun with --strict to "
-                "fail on them)\n",
-                trace.skipped_lines);
-  }
   if (args.has("verify-refs")) {
     const obs::RefCheck refs = obs::verify_refs(trace);
     if (refs.ok()) {
@@ -264,6 +257,7 @@ int cmd_trace(const Args& args) {
 int cmd_timeline(const Args& args) {
   const std::string path = args.get("file", "rpol_trace.jsonl");
   const obs::Trace trace = obs::load_trace_file(path, args.has("strict"));
+  obs::print_jsonl_damage(trace, stdout);
   const obs::TimelineReport report = obs::build_timeline(trace);
   obs::print_timeline(report, stdout);
   const std::string export_path = args.get("export", "");
