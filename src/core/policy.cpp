@@ -122,7 +122,7 @@ EpochTrace FabricationPolicy::produce_trace(StepExecutor& executor,
   Rng rng(derive_seed(seed_, static_cast<std::uint64_t>(context.epoch)));
   for (std::size_t j = 1; j < steps.size(); ++j) {
     TrainState fake = trace.checkpoints.back();
-    for (auto& w : fake.model) w += step_scale_ * rng.next_normal();
+    rng.add_normals(fake.model.data(), fake.model.size(), step_scale_);
     trace.checkpoints.push_back(std::move(fake));
   }
   return trace;

@@ -60,9 +60,9 @@ Dataset make_synthetic_images(const SyntheticImageConfig& cfg) {
     labels[static_cast<std::size_t>(i)] = cls;
     float* dst = examples.data() + static_cast<std::size_t>(i * pixels);
     const auto& pattern = patterns[static_cast<std::size_t>(cls)];
+    rng.next_normals(dst, static_cast<std::size_t>(pixels));
     for (std::int64_t p = 0; p < pixels; ++p) {
-      dst[p] = pattern[static_cast<std::size_t>(p)] +
-               cfg.noise_stddev * rng.next_normal();
+      dst[p] = pattern[static_cast<std::size_t>(p)] + cfg.noise_stddev * dst[p];
     }
   }
   return Dataset({cfg.channels, cfg.image_size, cfg.image_size},
@@ -84,9 +84,9 @@ Dataset make_synthetic_blobs(const SyntheticBlobConfig& cfg) {
     labels[static_cast<std::size_t>(i)] = cls;
     float* dst = examples.data() + static_cast<std::size_t>(i * cfg.features);
     const auto& center = centers[static_cast<std::size_t>(cls)];
+    rng.next_normals(dst, static_cast<std::size_t>(cfg.features));
     for (std::int64_t f = 0; f < cfg.features; ++f) {
-      dst[f] = center[static_cast<std::size_t>(f)] +
-               cfg.noise_stddev * rng.next_normal();
+      dst[f] = center[static_cast<std::size_t>(f)] + cfg.noise_stddev * dst[f];
     }
   }
   return Dataset({cfg.features}, std::move(examples), std::move(labels),

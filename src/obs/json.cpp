@@ -1,8 +1,10 @@
 #include "obs/json.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <system_error>
 
 namespace rpol::obs {
 
@@ -123,18 +125,32 @@ class JsonParser {
         case 'n': v.token += '\n'; break;
         case 'r': v.token += '\r'; break;
         case 't': v.token += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          const unsigned long cp =
-              std::strtoul(std::string(text_.substr(pos_, 4)).c_str(),
-                           nullptr, 16);
-          pos_ += 4;
-          // The exporters only escape control characters, all < 0x80.
-          v.token += static_cast<char>(cp & 0x7F);
-          break;
-        }
+        case 'u': append_code_point(v.token); break;
         default: fail("unsupported escape");
       }
+    }
+  }
+
+  // The four hex digits of a \u escape, appended as UTF-8. The exporters
+  // only escape control characters; surrogates (pairs included) are
+  // rejected.
+  void append_code_point(std::string& out) {
+    if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
+    unsigned cp = 0;
+    const char* first = text_.data() + pos_;
+    const auto [ptr, ec] = std::from_chars(first, first + 4, cp, 16);
+    if (ec != std::errc() || ptr != first + 4) fail("bad \\u escape");
+    if (cp >= 0xD800 && cp <= 0xDFFF) fail("unsupported \\u surrogate");
+    pos_ += 4;
+    if (cp < 0x80) {
+      out += static_cast<char>(cp);
+    } else if (cp < 0x800) {
+      out += static_cast<char>(0xC0 | (cp >> 6));
+      out += static_cast<char>(0x80 | (cp & 0x3F));
+    } else {
+      out += static_cast<char>(0xE0 | (cp >> 12));
+      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (cp & 0x3F));
     }
   }
 
@@ -181,16 +197,31 @@ class JsonParser {
   std::size_t pos_ = 0;
 };
 
+// The number `v` spells in full: a non-number, a token with anything left
+// over (a fraction or exponent read as an integer, a sign on an unsigned)
+// and an out-of-range value all throw.
+template <class T>
+T whole_number(const Json& v, const char* type) {
+  if (v.kind == Json::Kind::kNumber) {
+    T out{};
+    const char* last = v.token.data() + v.token.size();
+    const auto [ptr, ec] = std::from_chars(v.token.data(), last, out);
+    if (ec == std::errc() && ptr == last) return out;
+  }
+  throw std::runtime_error("not a " + std::string(type) + ": '" + v.token +
+                           "'");
+}
+
 }  // namespace
 
-double Json::as_double() const { return std::strtod(token.c_str(), nullptr); }
+double Json::as_double() const { return whole_number<double>(*this, "double"); }
 
 std::uint64_t Json::as_u64() const {
-  return std::strtoull(token.c_str(), nullptr, 10);
+  return whole_number<std::uint64_t>(*this, "u64");
 }
 
 std::int64_t Json::as_i64() const {
-  return std::strtoll(token.c_str(), nullptr, 10);
+  return whole_number<std::int64_t>(*this, "i64");
 }
 
 const Json* Json::find(std::string_view key) const {

@@ -57,7 +57,7 @@ void DeviceExecution::perturb_gradients(const std::vector<nn::Param*>& params) {
     const float rms = static_cast<float>(std::sqrt(sq / static_cast<double>(n)));
     const float sigma = static_cast<float>(profile_.noise_rel) * rms;
     if (sigma <= 0.0F) continue;
-    for (std::int64_t i = 0; i < n; ++i) g[i] += sigma * rng_.next_normal();
+    rng_.add_normals(g, static_cast<std::size_t>(n), sigma);
   }
 }
 

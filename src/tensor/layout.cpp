@@ -274,7 +274,9 @@ Tensor conv2d_direct_forward(const Tensor& input_blocked,
   const float* pw = weight_blocked.data();
   const float* pbias = bias.empty() ? nullptr : bias.data();
   float* py = out.data();
+#ifdef RPOL_LAYOUT_AVX2
   constexpr std::int64_t XB = 4;  // max x positions per register tile
+#endif
 
   // A work unit is an (img, ocb-pair) output plane. Within a unit the input-
   // channel block loop is OUTERMOST so one (pair, icb) weight sub-panel

@@ -1,7 +1,8 @@
 // The canonical fp32 codec (tensor/serialize.h) and the checkpoint path
 // built on it: every encoder equals a per-byte reference encoder kept here
 // as the oracle (serialize_floats, serialize_state, encode_train_state, the
-// state hash, ChunkedStateEncoder windows at odd offsets), the spill file
+// state hash, ChunkedStateEncoder windows at odd offsets), the chunked
+// assembler gives the one-shot state at every split, the spill file
 // holds exactly the serialize_state bytes of the appended states, truncated
 // and corrupt input still throws, and the run-based trainable extraction
 // and distance equal the per-element reference bitwise at 1 and 4 threads.
@@ -214,6 +215,76 @@ TEST(Codec, ChunkedEncoderWindowsAtOddOffsetsMatchReference) {
         EXPECT_EQ(joined, want) << m << "/" << o << " chunk " << chunk;
       }
     }
+  }
+}
+
+StateChunk chunk_of(const Bytes& whole, std::size_t lo, std::size_t hi) {
+  StateChunk c;
+  c.total_bytes = whole.size();
+  c.offset = lo;
+  c.payload.assign(whole.begin() + static_cast<std::ptrdiff_t>(lo),
+                   whole.begin() + static_cast<std::ptrdiff_t>(hi));
+  c.payload_hash = sha256(c.payload);
+  return c;
+}
+
+// The assembler carries counts and floats across chunk boundaries; every
+// pair of cut points must give the one-shot state bit for bit.
+TEST(Codec, ChunkedAssemblerMatchesOneShotAtEverySplit) {
+  TrainState s;
+  s.model = awkward_floats(5, 700);
+  s.optimizer = awkward_floats(3, 701);
+  const Bytes whole = reference_state(s);
+  ChunkedStateAssembler one_shot(whole.size());
+  one_shot.accept(chunk_of(whole, 0, whole.size()));
+  ASSERT_TRUE(one_shot.complete());
+  const TrainState want = one_shot.take();
+  ASSERT_EQ(bits_of(want.model), bits_of(s.model));
+  ASSERT_EQ(bits_of(want.optimizer), bits_of(s.optimizer));
+  for (std::size_t a = 1; a < whole.size(); ++a) {
+    for (std::size_t b = a; b < whole.size(); ++b) {
+      ChunkedStateAssembler assembler(whole.size());
+      assembler.accept(chunk_of(whole, 0, a));
+      if (b > a) assembler.accept(chunk_of(whole, a, b));
+      ASSERT_FALSE(assembler.complete());
+      assembler.accept(chunk_of(whole, b, whole.size()));
+      ASSERT_TRUE(assembler.complete()) << a << "/" << b;
+      const TrainState got = assembler.take();
+      ASSERT_EQ(bits_of(got.model), bits_of(want.model)) << a << "/" << b;
+      ASSERT_EQ(bits_of(got.optimizer), bits_of(want.optimizer))
+          << a << "/" << b;
+    }
+  }
+}
+
+// A chunk that decodes the rest of the model run and then completes a lying
+// optimizer count throws, and leaves the assembler as it was: the honest
+// chunk is accepted afterwards and the state is exact.
+TEST(Codec, ChunkedAssemblerLyingCountMidRunLeavesItUnchanged) {
+  TrainState s;
+  s.model = awkward_floats(9, 710);
+  s.optimizer = awkward_floats(4, 711);
+  const Bytes whole = reference_state(s);
+  const std::size_t opt_count_at = 8 + 4 * s.model.size();
+  // Cut inside the third model float, so the carry is live at the retry.
+  const std::size_t cut = 8 + 4 * 2 + 1;
+  for (const std::uint64_t lie : {std::uint64_t{3}, std::uint64_t{5},
+                                  ~std::uint64_t{0}}) {
+    Bytes forged = whole;
+    store_u64_le(lie, forged.data() + opt_count_at);
+    ChunkedStateAssembler assembler(whole.size());
+    assembler.accept(chunk_of(whole, 0, cut));
+    const std::uint64_t received = assembler.bytes_received();
+    EXPECT_THROW(assembler.accept(chunk_of(forged, cut, whole.size())),
+                 std::invalid_argument)
+        << lie;
+    EXPECT_EQ(assembler.bytes_received(), received);
+    EXPECT_FALSE(assembler.complete());
+    assembler.accept(chunk_of(whole, cut, whole.size()));
+    ASSERT_TRUE(assembler.complete());
+    const TrainState got = assembler.take();
+    EXPECT_EQ(bits_of(got.model), bits_of(s.model)) << lie;
+    EXPECT_EQ(bits_of(got.optimizer), bits_of(s.optimizer)) << lie;
   }
 }
 

@@ -3,7 +3,8 @@
 // export -> parse round trip through the analyzer, TraceContext propagation
 // semantics, tolerant vs strict parsing of damaged files (with a sweep of
 // every cut and a corruption per line over the shared JSONL reader for the
-// trace, health and live schemas), the empty-trace
+// trace, health and live schemas), strict JSON numbers and \u escapes, the
+// empty-trace
 // and disabled-registry edge cases, histogram bucket math, fault-counter
 // reporting, and the shared sim::percentile quantile routine.
 
@@ -13,6 +14,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,6 +23,7 @@
 #include "bench_util.h"
 #include "obs/analyze.h"
 #include "obs/health_read.h"
+#include "obs/json.h"
 #include "obs/live_read.h"
 #include "obs/obs.h"
 #include "sim/stats.h"
@@ -562,6 +565,57 @@ TEST(JsonlReader, WhitespaceOnlyLinesAreSkippedNotDamage) {
   const obs::Trace trace = obs::parse_trace_jsonl(in, /*strict=*/true);
   EXPECT_EQ(trace.skipped_lines, 0U);
   EXPECT_EQ(trace.counters.at("x"), 1U);
+}
+
+// Numbers are read in full or not at all: a sign on an unsigned, a fraction
+// or exponent read as an integer, leftovers and range errors all throw.
+TEST(JsonNumbers, WholeTokenInRangeOrThrow) {
+  EXPECT_EQ(obs::parse_json("18446744073709551615").as_u64(), ~0ULL);
+  EXPECT_EQ(obs::parse_json("-9223372036854775808").as_i64(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(obs::parse_json("1e3").as_double(), 1000.0);
+  EXPECT_EQ(obs::parse_json("-0.25").as_double(), -0.25);
+  EXPECT_THROW(obs::parse_json("-1").as_u64(), std::runtime_error);
+  EXPECT_THROW(obs::parse_json("1e3").as_u64(), std::runtime_error);
+  EXPECT_THROW(obs::parse_json("1e3").as_i64(), std::runtime_error);
+  EXPECT_THROW(obs::parse_json("2.5").as_i64(), std::runtime_error);
+  EXPECT_THROW(obs::parse_json("18446744073709551616").as_u64(),
+               std::runtime_error);
+  EXPECT_THROW(obs::parse_json("9223372036854775808").as_i64(),
+               std::runtime_error);
+  EXPECT_THROW(obs::parse_json("1e400").as_double(), std::runtime_error);
+  EXPECT_THROW(obs::parse_json("1-2").as_double(), std::runtime_error);
+  EXPECT_THROW(obs::parse_json("\"7\"").as_u64(), std::runtime_error);
+  EXPECT_THROW(obs::parse_json("null").as_double(), std::runtime_error);
+}
+
+// A \u escape is exactly four hex digits, decoded to UTF-8.
+TEST(JsonStrings, UnicodeEscapesNeedFourHexDigits) {
+  EXPECT_EQ(obs::parse_json("\"a\\u0001b\"").token, "a\x01" "b");
+  EXPECT_EQ(obs::parse_json("\"\\u00e9\\u20AC\"").token,
+            "\xC3\xA9\xE2\x82\xAC");
+  for (const char* bad : {"\"\\u12\"", "\"\\u12zz\"", "\"\\u-123\"",
+                          "\"\\u+123\"", "\"\\u 123\"", "\"\\ud83d\""}) {
+    EXPECT_THROW(obs::parse_json(bad), std::runtime_error) << bad;
+  }
+}
+
+// Both failures surface through the line reader as damage, not as values.
+TEST(JsonlReader, BadNumbersAndEscapesAreDamage) {
+  const std::string doc = std::string(kTraceDoc) +
+      "{\"type\":\"counter\",\"name\":\"neg\",\"value\":-1}\n"
+      "{\"type\":\"counter\",\"name\":\"exp\",\"value\":1e3}\n"
+      "{\"type\":\"counter\",\"name\":\"\\u00zz\",\"value\":1}\n"
+      "{\"type\":\"counter\",\"name\":\"ok\",\"value\":2}\n";
+  std::istringstream in(doc);
+  const obs::Trace trace = obs::parse_trace_jsonl(in, /*strict=*/false);
+  EXPECT_EQ(trace.skipped_lines, 3U);
+  EXPECT_EQ(trace.counters.count("neg"), 0U);
+  EXPECT_EQ(trace.counters.count("exp"), 0U);
+  EXPECT_EQ(trace.counters.at("ok"), 2U);
+  std::istringstream strict_in(doc);
+  EXPECT_THROW(obs::parse_trace_jsonl(strict_in, /*strict=*/true),
+               std::runtime_error);
 }
 
 // Reads `path` fully; print_trace_summary writes to FILE*, so the fault

@@ -1,9 +1,15 @@
-// Tests for the simulation substrate: device noise model, WAN model,
+// Tests for the simulation substrate: device noise model (perturb_gradients
+// against its per-element reference loop), WAN model,
 // real-model descriptors, statistics (KS normality test).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "sim/cost.h"
 #include "sim/device.h"
@@ -31,6 +37,79 @@ TEST(Device, NoiseGrowsWithThroughput) {
   EXPECT_GT(device_g3090().noise_rel, device_ga10().noise_rel);
   EXPECT_GT(device_ga10().noise_rel, device_gp100().noise_rel);
   EXPECT_GT(device_gp100().noise_rel, device_gt4().noise_rel);
+}
+
+// The per-element loop perturb_gradients replaced, kept as its oracle: one
+// next_normal() per element of every trainable, non-empty param whose noise
+// sigma is positive, in param order.
+void reference_perturb(Rng& rng, double noise_rel,
+                       const std::vector<nn::Param*>& params) {
+  for (nn::Param* p : params) {
+    if (!p->trainable) continue;
+    float* g = p->grad.data();
+    const std::int64_t n = p->grad.numel();
+    if (n == 0) continue;
+    double sq = 0.0;
+    for (std::int64_t i = 0; i < n; ++i) sq += static_cast<double>(g[i]) * g[i];
+    const float rms = static_cast<float>(std::sqrt(sq / static_cast<double>(n)));
+    const float sigma = static_cast<float>(noise_rel) * rms;
+    if (sigma <= 0.0F) continue;
+    for (std::int64_t i = 0; i < n; ++i) g[i] += sigma * rng.next_normal();
+  }
+}
+
+// DeviceExecution's stream: derive_seed(run, FNV-1a 64 of the device name).
+std::uint64_t device_stream_seed(const std::string& name, std::uint64_t run) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : name) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return derive_seed(run, h);
+}
+
+TEST(Device, PerturbGradientsMatchesPerElementReference) {
+  // Sizes 0, 1, 3 and 4097; an all-zero grad and a frozen param draw
+  // nothing; a NaN grad draws (its sigma is NaN, not <= 0); odd sizes leave
+  // a cached normal that the next param must pick up.
+  const std::vector<std::int64_t> sizes = {3, 0, 1, 5, 4097, 2, 7, 1};
+  const auto make_params = [&](std::vector<nn::Param>& store) {
+    store.clear();
+    Rng fill(17);
+    for (std::size_t k = 0; k < sizes.size(); ++k) {
+      store.emplace_back(std::to_string(k), Tensor({sizes[k]}));
+      auto& g = store.back().grad;
+      for (std::int64_t i = 0; i < g.numel(); ++i) {
+        g.data()[i] = fill.next_float() - 0.5F;
+      }
+    }
+    std::fill_n(store[3].grad.data(), 5, 0.0F);              // all-zero grad
+    store[5].grad.data()[1] = std::numeric_limits<float>::quiet_NaN();
+    store[6].trainable = false;
+    std::vector<nn::Param*> ptrs;
+    for (auto& p : store) ptrs.push_back(&p);
+    return ptrs;
+  };
+  const DeviceProfile profile = device_g3090();
+  DeviceExecution device(profile, 123);
+  Rng oracle(device_stream_seed(profile.name, 123));
+  std::vector<nn::Param> got_store;
+  std::vector<nn::Param> want_store;
+  const auto got = make_params(got_store);
+  const auto want = make_params(want_store);
+  for (int step = 0; step < 3; ++step) {  // the cache also carries across steps
+    device.perturb_gradients(got);
+    reference_perturb(oracle, profile.noise_rel, want);
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      for (std::int64_t i = 0; i < got[k]->grad.numel(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(got[k]->grad.data()[i]),
+                  std::bit_cast<std::uint32_t>(want[k]->grad.data()[i]))
+            << "step " << step << " param " << k << " element " << i;
+      }
+    }
+  }
+  EXPECT_TRUE(std::isnan(got[5]->grad.data()[0]));
+  EXPECT_EQ(got[3]->grad.data()[0], 0.0F);
 }
 
 TEST(Device, ComputeSecondsScalesInversely) {

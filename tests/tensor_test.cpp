@@ -1,11 +1,16 @@
 // Unit tests for the tensor substrate: RNG determinism and distribution,
+// the pinned normal stream and the bulk normal generator's exactness,
 // tensor arithmetic, matmul/im2col kernels, canonical serialization.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "crypto/sha256.h"
 #include "tensor/layout.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
@@ -92,6 +97,226 @@ TEST(Rng, DeriveSeedDecorrelatesStreams) {
   // Streams from adjacent ids should not be shifted copies.
   Rng a(s1), b(s2);
   EXPECT_NE(a.next_u64(), b.next_u64());
+}
+
+// ---------------------------------------------------------------------------
+// Normal stream: pinned bits, and the bulk generator against n scalar draws
+
+std::uint32_t bits_of(float f) { return std::bit_cast<std::uint32_t>(f); }
+
+// n successive next_normal() draws: the oracle next_normals must equal.
+std::vector<float> scalar_normals(Rng& rng, std::size_t n) {
+  std::vector<float> out(n);
+  for (auto& v : out) v = rng.next_normal();
+  return out;
+}
+
+// Bitwise comparison reporting the first differing index.
+void expect_same_bits(const std::vector<float>& got,
+                      const std::vector<float>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(bits_of(got[i]), bits_of(want[i]))
+        << what << ": first mismatch at " << i << " of " << got.size();
+  }
+}
+
+// Bulk and scalar twins of one seed must agree on the floats and on the
+// state behind them: the cached variate (the next normal) and the next raw
+// draw.
+void expect_bulk_matches_scalar(Rng& bulk, Rng& scalar, std::size_t n) {
+  std::vector<float> got(n);
+  bulk.next_normals(got.data(), n);
+  expect_same_bits(got, scalar_normals(scalar, n), "next_normals");
+  ASSERT_EQ(bits_of(bulk.next_normal()), bits_of(scalar.next_normal()))
+      << "cached variate after n=" << n;
+  ASSERT_EQ(bulk.next_u64(), scalar.next_u64()) << "state after n=" << n;
+}
+
+// SHA-256 of the little-endian float bytes of the first 2^20 normals. A
+// change to the uniforms, the Box-Muller expression or the linked libm's
+// log/sin/cos shows here before it shows in any training golden.
+TEST(NormalStream, GoldenDigestsOfFirstMillionDraws) {
+  const std::pair<std::uint64_t, const char*> golden[] = {
+      {1, "6374b71034c84c6fa96c8e22e8a1682f6504d629ce1e51fc485859936446a0b8"},
+      {7919,
+       "d488145ad0e597efb98019a2780d61c4a33387af0c54add4025b814e4701c68a"},
+      {0xC0FFEE,
+       "7a3bc374e9b36966c078624e91c926c6edb1d692ebe1220a11f7fdbfe1ed754c"}};
+  for (const auto& [seed, want] : golden) {
+    Rng rng(seed);
+    Sha256 h;
+    for (int i = 0; i < (1 << 20); ++i) {
+      const std::uint32_t b = bits_of(rng.next_normal());
+      const std::uint8_t le[4] = {
+          static_cast<std::uint8_t>(b), static_cast<std::uint8_t>(b >> 8),
+          static_cast<std::uint8_t>(b >> 16), static_cast<std::uint8_t>(b >> 24)};
+      h.update(le, sizeof le);
+    }
+    EXPECT_EQ(digest_to_hex(h.finish()), want) << "seed " << seed;
+  }
+}
+
+TEST(NormalStream, BulkEqualsScalarAtEdgeCounts) {
+  constexpr std::size_t kChunk = 2 * detail::kNormalChunkPairs;
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+        std::size_t{7}, kChunk - 1, kChunk, kChunk + 1, 2 * kChunk + 1,
+        std::size_t{1000000}}) {
+    for (const bool cached : {false, true}) {
+      Rng bulk(1000 + n), scalar(1000 + n);
+      if (cached) {  // leave a second variate cached ahead of the bulk call
+        ASSERT_EQ(bits_of(bulk.next_normal()), bits_of(scalar.next_normal()));
+      }
+      expect_bulk_matches_scalar(bulk, scalar, n);
+    }
+  }
+}
+
+TEST(NormalStream, BulkAndScalarCallsInterleave) {
+  Rng bulk(77), scalar(77);
+  Rng sizes(78);
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t n = static_cast<std::size_t>(sizes.next_below(1200));
+    std::vector<float> got(n);
+    bulk.next_normals(got.data(), n);
+    expect_same_bits(got, scalar_normals(scalar, n), "interleaved bulk");
+    const std::size_t singles = static_cast<std::size_t>(sizes.next_below(3));
+    for (std::size_t i = 0; i < singles; ++i) {
+      ASSERT_EQ(bits_of(bulk.next_normal()), bits_of(scalar.next_normal()));
+    }
+  }
+  ASSERT_EQ(bulk.next_u64(), scalar.next_u64());
+}
+
+// fill_normal and add_normals keep the per-element float expressions.
+TEST(NormalStream, FillAndAddMatchPerElementLoops) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{5}, std::size_t{1537}}) {
+    Rng bulk(90 + n), scalar(90 + n);
+    std::vector<float> got(n);
+    bulk.fill_normal(got, 0.5F, 0.3F);
+    std::vector<float> want(n);
+    for (auto& v : want) v = 0.5F + 0.3F * scalar.next_normal();
+    expect_same_bits(got, want, "fill_normal");
+    for (std::size_t i = 0; i < n; ++i) want[i] += 0.01F * scalar.next_normal();
+    bulk.add_normals(got.data(), n, 0.01F);
+    expect_same_bits(got, want, "add_normals");
+    ASSERT_EQ(bulk.next_u64(), scalar.next_u64());
+  }
+}
+
+// Ten million normals over several seeds, in uneven bulk calls.
+TEST(NormalStream, TenMillionBulkNormalsEqualScalar) {
+  constexpr std::size_t kPerSeed = 2000003;
+  for (const std::uint64_t seed : {3ULL, 5ULL, 8ULL, 13ULL, 21ULL}) {
+    Rng bulk(seed), scalar(seed);
+    expect_bulk_matches_scalar(bulk, scalar, kPerSeed);
+  }
+}
+
+// The pair transform at the edges of its inputs: u1 at both ends of its
+// range and around the sqrt(1/2) exponent split, u2 one ulp either side of
+// the quadrant boundaries, each placed in every lane of a 4-pair group and
+// in the scalar tail.
+TEST(NormalStream, PairTransformEdgeInputs) {
+  const double below_one = std::nextafter(1.0, 0.0);
+  const double half_sqrt2 = 0.70710678118654752440;
+  std::vector<double> u1s = {0x1p-53,     0x1p-52,   below_one,
+                             0.5,         0.25,      std::nextafter(0.5, 0.0),
+                             half_sqrt2,  std::nextafter(half_sqrt2, 0.0),
+                             std::nextafter(half_sqrt2, 1.0), 0.9999};
+  std::vector<double> u2s;
+  for (const double q : {0.0, 0.25, 0.5, 0.75}) {
+    u2s.push_back(q);
+    u2s.push_back(std::nextafter(q, 1.0));
+    if (q > 0.0) u2s.push_back(std::nextafter(q, 0.0));
+  }
+  u2s.push_back(below_one);
+  std::vector<double> a;
+  std::vector<double> b;
+  for (const double u1 : u1s) {
+    for (const double u2 : u2s) {
+      a.push_back(u1);
+      b.push_back(u2);
+    }
+  }
+  for (std::size_t shift = 0; shift < 5; ++shift) {
+    std::vector<double> u1(a.begin() + static_cast<std::ptrdiff_t>(shift), a.end());
+    std::vector<double> u2(b.begin() + static_cast<std::ptrdiff_t>(shift), b.end());
+    std::vector<float> got(2 * u1.size());
+    detail::box_muller_pairs(u1.data(), u2.data(), u1.size(), got.data());
+    for (std::size_t i = 0; i < u1.size(); ++i) {
+      float z0 = 0.0F;
+      float z1 = 0.0F;
+      detail::box_muller(u1[i], u2[i], z0, z1);
+      ASSERT_EQ(bits_of(got[2 * i]), bits_of(z0))
+          << "u1=" << u1[i] << " u2=" << u2[i];
+      ASSERT_EQ(bits_of(got[2 * i + 1]), bits_of(z1))
+          << "u1=" << u1[i] << " u2=" << u2[i];
+    }
+  }
+}
+
+// Distance from d to the nearest midpoint between two adjacent floats, the
+// points where float rounding flips.
+double distance_to_float_midpoint(double d) {
+  const float f = static_cast<float>(d);
+  if (static_cast<double>(f) == d) return std::fabs(d);
+  const float g = std::nextafter(f, d > f ? INFINITY : -INFINITY);
+  return std::fabs(d - 0.5 * (static_cast<double>(f) + static_cast<double>(g)));
+}
+
+// The rounding test is what makes the vector path exact: a pair whose
+// scalar double lies within 2^-42 |D| of a float midpoint is inside the
+// 2^-40 |D| interval of the vector value, so it must be handed to the
+// scalar transform, and the returned count must say so for every one. The
+// pairs come from the generator's own uniforms; about one in 10^5 is that
+// close. On ordinary pairs the vector path keeps nearly every lane.
+TEST(NormalStream, NearMidpointPairsFallBackToScalar) {
+  constexpr double kTwoPi = 2.0 * 3.141592653589793238462643;
+  constexpr std::size_t kWanted = 32;
+  std::vector<double> near_u1;
+  std::vector<double> near_u2;
+  Rng rng(4242);
+  while (near_u1.size() < kWanted) {
+    double u1 = 0.0;
+    do {
+      u1 = rng.next_double();
+    } while (u1 <= 1e-300);
+    const double u2 = rng.next_double();
+    const double radius = std::sqrt(-2.0 * std::log(u1));
+    const double angle = kTwoPi * u2;
+    for (const double d : {radius * std::cos(angle), radius * std::sin(angle)}) {
+      if (distance_to_float_midpoint(d) <= 0x1p-42 * std::fabs(d)) {
+        near_u1.push_back(u1);
+        near_u2.push_back(u2);
+        break;
+      }
+    }
+  }
+  std::vector<float> got(2 * kWanted);
+  EXPECT_EQ(detail::box_muller_pairs(near_u1.data(), near_u2.data(), kWanted,
+                                     got.data()),
+            kWanted);
+  for (std::size_t i = 0; i < kWanted; ++i) {
+    float z0 = 0.0F;
+    float z1 = 0.0F;
+    detail::box_muller(near_u1[i], near_u2[i], z0, z1);
+    ASSERT_EQ(bits_of(got[2 * i]), bits_of(z0)) << "pair " << i;
+    ASSERT_EQ(bits_of(got[2 * i + 1]), bits_of(z1)) << "pair " << i;
+  }
+#if defined(__AVX2__) && defined(__FMA__)
+  constexpr std::size_t kOrdinary = 4096;
+  std::vector<double> u1(kOrdinary);
+  std::vector<double> u2(kOrdinary);
+  for (std::size_t i = 0; i < kOrdinary; ++i) {
+    u1[i] = 1.0 - rng.next_double();
+    u2[i] = rng.next_double();
+  }
+  std::vector<float> z(2 * kOrdinary);
+  EXPECT_LE(detail::box_muller_pairs(u1.data(), u2.data(), kOrdinary, z.data()),
+            kOrdinary / 64);
+#endif
 }
 
 // ---------------------------------------------------------------------------
